@@ -6,7 +6,7 @@
  *
  *  1. bytes per dynamic instruction of the flat SoA kernel trace
  *     (kernel-level field arrays + one Addr arena) against an in-bench
- *     reconstruction of the old AoS layout (per-warp WarpInst vectors,
+ *     reconstruction of the old AoS layout (per-warp instruction vectors,
  *     each memory instruction owning a std::vector<Addr>), on the
  *     stress suite;
  *  2. hot-loop traversal time over the same dynamic instructions —
@@ -260,8 +260,8 @@ main(int argc, char **argv)
         if (soa_check != walkAos(aos))
             fatal(msg("layout walks disagree on ", w.name));
         volatile std::uint64_t sink = 0;
-        double soa_ms = timeMs(reps, [&] { sink += walkSoa(kernel); });
-        double aos_ms = timeMs(reps, [&] { sink += walkAos(aos); });
+        double soa_ms = timeMs(reps, [&] { sink = sink + walkSoa(kernel); });
+        double aos_ms = timeMs(reps, [&] { sink = sink + walkAos(aos); });
         walk_table.addRow({w.name, fmtDouble(soa_ms, 3),
                            fmtDouble(aos_ms, 3),
                            fmtDouble(aos_ms / soa_ms, 2)});

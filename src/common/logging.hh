@@ -42,7 +42,7 @@ std::string
 msg(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    ((os << args), ...);
     return os.str();
 }
 

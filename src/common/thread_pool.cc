@@ -88,10 +88,8 @@ ThreadPool::drain(Job &job)
     std::uint64_t t0 = measure ? monotonicNowNs() : 0;
     std::size_t claimed_chunks = 0;
     std::size_t claimed_items = 0;
-    for (;;) {
-        std::size_t begin = job.next.fetch_add(job.chunk);
-        if (begin >= job.n)
-            break;
+    std::size_t begin = job.next.fetch_add(job.chunk);
+    while (begin < job.n) {
         std::size_t end = std::min(begin + job.chunk, job.n);
         if (measure) {
             if (job.submitNs != 0 &&
@@ -116,18 +114,23 @@ ThreadPool::drain(Job &job)
                 job.failed.store(true, std::memory_order_relaxed);
             }
         }
+        // Claim the next chunk before completing this one: when there
+        // is none, this thread records its metrics now, because its
+        // completion below may be the job's last and wake the
+        // submitter, which may then read or reset the metrics.
+        begin = job.next.fetch_add(job.chunk);
+        if (begin >= job.n && measure) {
+            poolMetrics().chunks.add(claimed_chunks);
+            poolMetrics().items.add(claimed_items);
+            poolMetrics().drainMs.observe(
+                static_cast<double>(monotonicNowNs() - t0) / 1e6);
+        }
         if (job.chunksDone.fetch_add(1) + 1 == job.totalChunks) {
             // Last chunk: wake the submitter. Locking job.mu orders
             // this notify against the submitter's predicate check.
             std::lock_guard<std::mutex> lock(job.mu);
             job.done.notify_all();
         }
-    }
-    if (measure && claimed_chunks > 0) {
-        poolMetrics().chunks.add(claimed_chunks);
-        poolMetrics().items.add(claimed_items);
-        poolMetrics().drainMs.observe(
-            static_cast<double>(monotonicNowNs() - t0) / 1e6);
     }
 }
 

@@ -217,7 +217,7 @@ evaluateKernel(const Workload &workload, const HardwareConfig &config,
 
         evalCheckpoint(FaultSite::Parse);
         KernelTrace kernel = [&] {
-            Span span("parse", workload.name);
+            Span span("generate", workload.name);
             return workload.generate(config);
         }();
         {
@@ -283,7 +283,7 @@ predictSuite(const std::vector<Workload> &workloads,
                     }
                     evalCheckpoint(FaultSite::Parse);
                     KernelTrace kernel = [&] {
-                        Span span("parse", workloads[i].name);
+                        Span span("generate", workloads[i].name);
                         return workloads[i].generate(config);
                     }();
                     pred.result = runGpuMech(kernel, config, options);

@@ -51,7 +51,7 @@ InputCache::trace(const Workload &workload,
     return traces.getOrCompute(
         msg(workload.name, '|', config.traceKey()), [&] {
             cacheMetrics().traceMisses.add();
-            Span span("parse", workload.name);
+            Span span("generate", workload.name);
             evalCheckpoint(FaultSite::Parse);
             KernelTrace kernel = workload.generate(config);
             cacheMetrics().traceBytes.add(kernel.memoryFootprint());
@@ -93,7 +93,6 @@ InputCache::profiler(const Workload &workload,
         pk.trace = trace(workload, config);
         std::shared_ptr<const CollectorResult> collected =
             inputs(workload, config);
-        Span span("profile", workload.name);
         pk.profiler = std::make_shared<const GpuMechProfiler>(
             *pk.trace, config, selection, num_clusters, 1,
             std::move(collected));
@@ -138,7 +137,6 @@ InputCache::mrcProfiler(const Workload &workload,
         pk.trace = trace(workload, config);
         std::shared_ptr<const MrcProfile> profile =
             mrc(workload, config, sampling_rate);
-        Span span("profile", workload.name);
         pk.profiler = std::make_shared<const GpuMechProfiler>(
             *pk.trace, config, selection, num_clusters, 1, nullptr,
             std::move(profile));

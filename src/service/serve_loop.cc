@@ -189,7 +189,7 @@ serveTransport(EngineSession &engine, Transport &transport,
                     shed = true;
                     ++summary.shed;
                 } else {
-                    queue.push_back({seq, std::move(req)});
+                    queue.push_back({seq, std::move(req), false, {}});
                 }
             }
             if (shed) {

@@ -38,28 +38,59 @@ KernelTrace::reserveTrace(std::uint64_t num_warps,
 }
 
 void
-KernelTrace::addWarp(const WarpTrace &warp)
+KernelTrace::beginWarp(std::uint32_t warp_id, std::uint32_t block_id)
 {
-    WarpMeta meta;
-    meta.warpId = warp.warpId;
-    meta.blockId = warp.blockId;
-    meta.instOffset = instPc_.size();
-    meta.instCount = static_cast<std::uint32_t>(warp.insts.size());
-    warpMeta_.push_back(meta);
-
-    const std::uint64_t line_base = linePool_.size();
-    for (const auto &inst : warp.insts) {
-        instPc_.push_back(inst.pc);
-        instOp_.push_back(inst.op);
-        instActive_.push_back(inst.activeThreads);
-        instDeps_.push_back(inst.deps);
-        instLineOff_.push_back(inst.lineCount == 0
-                                   ? 0
-                                   : line_base + inst.lineOffset);
-        instLineCnt_.push_back(inst.lineCount);
+    if (warpOpen_) {
+        panic(msg("beginWarp(", warp_id, "): warp ", openWarp_.warpId,
+                  " is still open"));
     }
-    linePool_.insert(linePool_.end(), warp.linePool.begin(),
-                     warp.linePool.end());
+    openWarp_ = WarpMeta{warp_id, block_id, instPc_.size(), 0};
+    openLineBase_ = linePool_.size();
+    warpOpen_ = true;
+}
+
+std::int32_t
+KernelTrace::appendInst(std::uint32_t pc, std::uint32_t active,
+                        const DepArray &deps, const Addr *lines,
+                        std::uint32_t num_lines)
+{
+    if (!warpOpen_)
+        panic("appendInst: no open warp");
+    instOp_.push_back(opcodeOf(pc));
+    instPc_.push_back(pc);
+    instActive_.push_back(active);
+    instDeps_.push_back(deps);
+    instLineOff_.push_back(num_lines == 0 ? 0 : linePool_.size());
+    instLineCnt_.push_back(num_lines);
+    linePool_.insert(linePool_.end(), lines, lines + num_lines);
+    return static_cast<std::int32_t>(openWarp_.instCount++);
+}
+
+void
+KernelTrace::endWarp()
+{
+    if (!warpOpen_)
+        panic("endWarp: no open warp");
+    if (openWarp_.instCount == 0)
+        panic(msg("endWarp: warp ", openWarp_.warpId, " is empty"));
+    warpMeta_.push_back(openWarp_);
+    warpOpen_ = false;
+}
+
+void
+KernelTrace::abandonWarp()
+{
+    if (!warpOpen_)
+        panic("abandonWarp: no open warp");
+    const std::uint64_t n = openWarp_.instOffset;
+    instPc_.resize(n);
+    instOp_.resize(n);
+    instActive_.resize(n);
+    instDeps_.resize(n);
+    instLineOff_.resize(n);
+    instLineCnt_.resize(n);
+    linePool_.resize(openLineBase_);
+    warpOpen_ = false;
 }
 
 Status
@@ -116,7 +147,7 @@ KernelTrace::adoptColumns(std::vector<std::uint32_t> warp_ids,
 
     // Opcode fixup from the static program, and line-slice offsets by
     // prefix sum over the counts (zero-count instructions keep offset
-    // 0, matching addWarp's convention).
+    // 0, matching appendInst's convention).
     std::vector<Opcode> ops(total);
     std::vector<std::uint64_t> line_off(total);
     std::uint64_t line_cursor = 0;

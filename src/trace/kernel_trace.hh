@@ -4,12 +4,19 @@
  * and the block-to-core assignment used by both the timing simulator
  * and the input collector.
  *
- * Storage is flat and arena-backed (structure-of-arrays): the
- * instructions of all warps live in kernel-level parallel arrays (one
- * per hot field — pc, opcode, active mask, dependency triple, line
- * slice), coalesced line addresses live in a single kernel-level Addr
- * pool, and each warp is an (offset, count) window over the
- * instruction arrays. Consumers access warps through the lightweight
+ * This is the only trace representation. The paper's input collector
+ * produces one dependency-tagged trace per warp (Section V-A); here
+ * the instructions of all warps live in kernel-level parallel arrays
+ * (structure-of-arrays: one per hot field — pc, opcode, active mask,
+ * dependency triple, line slice), coalesced line addresses live in a
+ * single kernel-level Addr pool, and each warp is an (offset, count)
+ * window over the instruction arrays.
+ *
+ * Producers append straight into the columns, one warp at a time:
+ * beginWarp(), appendInst() per instruction, endWarp(). TraceBuilder
+ * wraps that for workload generators; the text parser calls it
+ * directly and the binary loader installs whole columns at once
+ * (adoptColumns). Consumers access warps through the lightweight
  * WarpView, whose *Data() accessors expose the raw SoA arrays for
  * allocation-free hot loops (interval builder, collector, timing).
  */
@@ -17,15 +24,68 @@
 #ifndef GPUMECH_TRACE_KERNEL_TRACE_HH
 #define GPUMECH_TRACE_KERNEL_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
-#include "trace/warp_trace.hh"
+#include "trace/coalescer.hh"
+#include "trace/isa.hh"
 
 namespace gpumech
 {
+
+/** Sentinel for an absent dependency slot. */
+constexpr std::int32_t noDep = -1;
+
+/**
+ * The (up to three) backward dependency slots of one instruction:
+ * warp-local indices of the producing instructions, or noDep. Three
+ * slots cover FMA-style three-source instructions; only intra-warp
+ * register dependencies exist in the SIMT model.
+ */
+using DepArray = std::array<std::int32_t, 3>;
+
+/**
+ * Non-owning view of one instruction's coalesced line requests: a
+ * slice of a kernel's line pool (or of any Addr array).
+ */
+struct LineSpan
+{
+    const Addr *ptr = nullptr;
+    std::uint32_t count = 0;
+
+    const Addr *begin() const { return ptr; }
+    const Addr *end() const { return ptr + count; }
+    std::uint32_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    Addr operator[](std::uint32_t i) const { return ptr[i]; }
+
+    std::vector<Addr>
+    toVector() const
+    {
+        return std::vector<Addr>(begin(), end());
+    }
+};
+
+inline bool
+operator==(const LineSpan &a, const LineSpan &b)
+{
+    if (a.count != b.count)
+        return false;
+    for (std::uint32_t i = 0; i < a.count; ++i) {
+        if (a.ptr[i] != b.ptr[i])
+            return false;
+    }
+    return true;
+}
+
+inline bool
+operator==(const LineSpan &a, const std::vector<Addr> &b)
+{
+    return a == LineSpan{b.data(), static_cast<std::uint32_t>(b.size())};
+}
 
 /** One static instruction (PC) of a kernel. */
 struct StaticInst
@@ -165,11 +225,30 @@ class KernelTrace
                       std::uint64_t total_lines);
 
     /**
-     * Flatten a built warp into the kernel-level arrays (absorbs the
-     * warp's local line arena into the kernel pool and rebases its
-     * slices).
+     * Open a warp at the end of the columns. At most one warp is open
+     * at a time: panics if another has not been ended or abandoned.
      */
-    void addWarp(const WarpTrace &warp);
+    void beginWarp(std::uint32_t warp_id, std::uint32_t block_id);
+
+    /**
+     * Append one instruction to the open warp. The opcode comes from
+     * the static program (panics on an unknown pc); the lines are
+     * copied into the kernel pool (none for non-memory instructions).
+     *
+     * @return the instruction's warp-local index
+     */
+    std::int32_t appendInst(std::uint32_t pc, std::uint32_t active,
+                            const DepArray &deps, const Addr *lines,
+                            std::uint32_t num_lines);
+
+    /** Close the open warp; panics if none is open or it is empty. */
+    void endWarp();
+
+    /**
+     * Drop the open warp, truncating every column back to where it
+     * began, so an unfinished warp leaves no trace.
+     */
+    void abandonWarp();
 
     /**
      * Bulk column adoption for binary trace ingestion: install the
@@ -292,6 +371,11 @@ class KernelTrace
     std::string name_;
     std::vector<StaticInst> program;
     std::vector<WarpMeta> warpMeta_;
+
+    // The warp between beginWarp() and endWarp(), if any.
+    bool warpOpen_ = false;
+    WarpMeta openWarp_;
+    std::uint64_t openLineBase_ = 0; //!< linePool_ size at beginWarp
 
     // SoA instruction fields, flat across all warps in warp order.
     std::vector<std::uint32_t> instPc_;

@@ -13,124 +13,57 @@ TraceBuilder::TraceBuilder(KernelTrace &kernel, std::uint32_t warp_id,
                            const HardwareConfig &config)
     : kernel(kernel), config(config)
 {
-    trace.warpId = warp_id;
-    trace.blockId = block_id;
+    kernel.beginWarp(warp_id, block_id);
 }
 
-void
-TraceBuilder::reserve(std::size_t num_insts, std::size_t num_lines)
+TraceBuilder::~TraceBuilder()
 {
-    trace.reserve(num_insts, num_lines);
-    producer.reserve(num_insts);
+    if (!finished)
+        kernel.abandonWarp();
 }
 
 Reg
-TraceBuilder::compute(std::uint32_t pc, std::initializer_list<Reg> srcs,
-                      std::uint32_t active_threads)
+TraceBuilder::emitCompute(std::uint32_t pc, const Reg *srcs,
+                          std::size_t num_srcs,
+                          std::uint32_t active_threads)
 {
     Opcode op = kernel.opcodeOf(pc);
     if (isGlobalMemory(op))
         panic("compute() emitted with a global-memory pc");
     if (active_threads == 0)
         active_threads = config.warpSize;
-    return append(pc, op, srcs.begin(), srcs.size(), active_threads,
-                  nullptr, 0, !isStore(op));
+    return append(pc, srcs, num_srcs, active_threads, nullptr, 0,
+                  !isStore(op));
 }
 
 Reg
-TraceBuilder::compute(std::uint32_t pc, const std::vector<Reg> &srcs,
-                      std::uint32_t active_threads)
-{
-    Opcode op = kernel.opcodeOf(pc);
-    if (isGlobalMemory(op))
-        panic("compute() emitted with a global-memory pc");
-    if (active_threads == 0)
-        active_threads = config.warpSize;
-    return append(pc, op, srcs.data(), srcs.size(), active_threads,
-                  nullptr, 0, !isStore(op));
-}
-
-Reg
-TraceBuilder::globalLoad(std::uint32_t pc,
+TraceBuilder::emitMemory(std::uint32_t pc, Opcode want,
                          const std::vector<Addr> &thread_addrs,
-                         std::initializer_list<Reg> srcs)
+                         const Reg *srcs, std::size_t num_srcs)
 {
-    Opcode op = kernel.opcodeOf(pc);
-    if (op != Opcode::GlobalLoad)
-        panic("globalLoad() emitted with a non-GlobalLoad pc");
+    const bool load = want == Opcode::GlobalLoad;
+    const char *what = load ? "globalLoad()" : "globalStore()";
+    if (kernel.opcodeOf(pc) != want) {
+        panic(msg(what, " emitted with a non-",
+                  load ? "GlobalLoad" : "GlobalStore", " pc"));
+    }
     if (thread_addrs.empty())
-        panic("globalLoad() needs at least one thread address");
+        panic(msg(what, " needs at least one thread address"));
     coalesce(thread_addrs, config.l1LineBytes, lineScratch);
-    return append(pc, op, srcs.begin(), srcs.size(),
+    return append(pc, srcs, num_srcs,
                   static_cast<std::uint32_t>(thread_addrs.size()),
                   lineScratch.data(),
-                  static_cast<std::uint32_t>(lineScratch.size()), true);
+                  static_cast<std::uint32_t>(lineScratch.size()), load);
 }
 
 Reg
-TraceBuilder::globalLoad(std::uint32_t pc,
-                         const std::vector<Addr> &thread_addrs,
-                         const std::vector<Reg> &srcs)
-{
-    Opcode op = kernel.opcodeOf(pc);
-    if (op != Opcode::GlobalLoad)
-        panic("globalLoad() emitted with a non-GlobalLoad pc");
-    if (thread_addrs.empty())
-        panic("globalLoad() needs at least one thread address");
-    coalesce(thread_addrs, config.l1LineBytes, lineScratch);
-    return append(pc, op, srcs.data(), srcs.size(),
-                  static_cast<std::uint32_t>(thread_addrs.size()),
-                  lineScratch.data(),
-                  static_cast<std::uint32_t>(lineScratch.size()), true);
-}
-
-void
-TraceBuilder::globalStore(std::uint32_t pc,
-                          const std::vector<Addr> &thread_addrs,
-                          std::initializer_list<Reg> srcs)
-{
-    Opcode op = kernel.opcodeOf(pc);
-    if (op != Opcode::GlobalStore)
-        panic("globalStore() emitted with a non-GlobalStore pc");
-    if (thread_addrs.empty())
-        panic("globalStore() needs at least one thread address");
-    coalesce(thread_addrs, config.l1LineBytes, lineScratch);
-    append(pc, op, srcs.begin(), srcs.size(),
-           static_cast<std::uint32_t>(thread_addrs.size()),
-           lineScratch.data(),
-           static_cast<std::uint32_t>(lineScratch.size()), false);
-}
-
-void
-TraceBuilder::globalStore(std::uint32_t pc,
-                          const std::vector<Addr> &thread_addrs,
-                          const std::vector<Reg> &srcs)
-{
-    Opcode op = kernel.opcodeOf(pc);
-    if (op != Opcode::GlobalStore)
-        panic("globalStore() emitted with a non-GlobalStore pc");
-    if (thread_addrs.empty())
-        panic("globalStore() needs at least one thread address");
-    coalesce(thread_addrs, config.l1LineBytes, lineScratch);
-    append(pc, op, srcs.data(), srcs.size(),
-           static_cast<std::uint32_t>(thread_addrs.size()),
-           lineScratch.data(),
-           static_cast<std::uint32_t>(lineScratch.size()), false);
-}
-
-Reg
-TraceBuilder::append(std::uint32_t pc, Opcode op, const Reg *srcs,
+TraceBuilder::append(std::uint32_t pc, const Reg *srcs,
                      std::size_t num_srcs, std::uint32_t active_threads,
                      const Addr *lines, std::uint32_t num_lines,
                      bool produces)
 {
     if (finished)
         panic("TraceBuilder used after finish()");
-
-    WarpInst inst;
-    inst.pc = pc;
-    inst.op = op;
-    inst.activeThreads = active_threads;
 
     // Resolve register sources to distinct producer trace indices;
     // keep the youngest producers if there are more than fit, since
@@ -150,14 +83,14 @@ TraceBuilder::append(std::uint32_t pc, Opcode op, const Reg *srcs,
     }
     std::sort(depScratch.begin(), depScratch.end(),
               std::greater<std::int32_t>());
-    for (std::size_t i = 0;
-         i < inst.deps.size() && i < depScratch.size(); ++i) {
-        inst.deps[i] = depScratch[i];
+    DepArray deps = {noDep, noDep, noDep};
+    for (std::size_t i = 0; i < deps.size() && i < depScratch.size();
+         ++i) {
+        deps[i] = depScratch[i];
     }
 
-    std::int32_t idx = num_lines > 0
-        ? trace.addMemInst(inst, lines, num_lines)
-        : trace.addInst(inst);
+    std::int32_t idx =
+        kernel.appendInst(pc, active_threads, deps, lines, num_lines);
 
     if (!produces)
         return regNone;
@@ -172,9 +105,7 @@ TraceBuilder::finish()
     if (finished)
         panic("TraceBuilder::finish() called twice");
     finished = true;
-    if (trace.insts.empty())
-        panic("finish() on an empty warp trace");
-    kernel.addWarp(trace);
+    kernel.endWarp();
 }
 
 } // namespace gpumech

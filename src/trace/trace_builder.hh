@@ -8,11 +8,13 @@
  * dependency edges the interval algorithm consumes. This plays the
  * role of GPUOcelot's dependency tagging (Section V-A).
  *
- * The builder's emit path is allocation-free in steady state: lines
- * are coalesced into a reused scratch buffer and appended to the
- * warp's line arena, and dependency resolution reuses a scratch
- * index vector. Generators that know their instruction counts should
- * call reserve() so the per-warp arrays never reallocate either.
+ * A builder holds its kernel's one open warp (KernelTrace::beginWarp)
+ * and appends each instruction straight into the kernel's columns;
+ * there is no per-warp staging copy. The emit path is allocation-free
+ * in steady state: lines are coalesced into a reused scratch buffer
+ * and dependency resolution reuses a scratch index vector. Generators
+ * size the kernel columns with KernelTrace::reserveTrace and the
+ * builder's register map with reserve().
  */
 
 #ifndef GPUMECH_TRACE_TRACE_BUILDER_HH
@@ -35,6 +37,10 @@ constexpr Reg regNone = -1;
 
 /**
  * Builds one warp's dynamic trace against a kernel's static program.
+ *
+ * The warp is opened on construction and closed by finish(); a
+ * builder destroyed before finish() removes everything it appended.
+ * Only one builder per kernel may be live at a time.
  *
  * Example:
  * @code
@@ -63,12 +69,17 @@ class TraceBuilder
     TraceBuilder(KernelTrace &kernel, std::uint32_t warp_id,
                  std::uint32_t block_id, const HardwareConfig &config);
 
+    /** Abandons the warp if finish() was not called. */
+    ~TraceBuilder();
+
+    TraceBuilder(const TraceBuilder &) = delete;
+    TraceBuilder &operator=(const TraceBuilder &) = delete;
+
     /**
-     * Pre-size the warp's instruction array and line arena from a
-     * workload-declared hint (upper bounds are fine; this only avoids
-     * geometric-reallocation copies during emission).
+     * Pre-size the register-to-producer map from a workload-declared
+     * instruction count (an upper bound is fine).
      */
-    void reserve(std::size_t num_insts, std::size_t num_lines);
+    void reserve(std::size_t num_insts) { producer.reserve(num_insts); }
 
     /**
      * Emit a non-global-memory instruction (ALU, SFU, branch, shared
@@ -80,12 +91,20 @@ class TraceBuilder
      *        warp
      * @return the destination register
      */
-    Reg compute(std::uint32_t pc, std::initializer_list<Reg> srcs = {},
-                std::uint32_t active_threads = 0);
+    Reg
+    compute(std::uint32_t pc, std::initializer_list<Reg> srcs = {},
+            std::uint32_t active_threads = 0)
+    {
+        return emitCompute(pc, srcs.begin(), srcs.size(), active_threads);
+    }
 
     /** As above with sources in a container (no copy is taken). */
-    Reg compute(std::uint32_t pc, const std::vector<Reg> &srcs,
-                std::uint32_t active_threads = 0);
+    Reg
+    compute(std::uint32_t pc, const std::vector<Reg> &srcs,
+            std::uint32_t active_threads = 0)
+    {
+        return emitCompute(pc, srcs.data(), srcs.size(), active_threads);
+    }
 
     /**
      * Emit a global load. Per-thread addresses are coalesced into line
@@ -96,12 +115,22 @@ class TraceBuilder
      * @param srcs address-generation source registers
      * @return the destination register holding the loaded value
      */
-    Reg globalLoad(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
-                   std::initializer_list<Reg> srcs = {});
+    Reg
+    globalLoad(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
+               std::initializer_list<Reg> srcs = {})
+    {
+        return emitMemory(pc, Opcode::GlobalLoad, thread_addrs,
+                          srcs.begin(), srcs.size());
+    }
 
     /** As above with sources in a container (no copy is taken). */
-    Reg globalLoad(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
-                   const std::vector<Reg> &srcs);
+    Reg
+    globalLoad(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
+               const std::vector<Reg> &srcs)
+    {
+        return emitMemory(pc, Opcode::GlobalLoad, thread_addrs,
+                          srcs.data(), srcs.size());
+    }
 
     /**
      * Emit a global store (produces no register).
@@ -110,31 +139,46 @@ class TraceBuilder
      * @param thread_addrs one byte address per active thread
      * @param srcs data and address source registers
      */
-    void globalStore(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
-                     std::initializer_list<Reg> srcs = {});
+    void
+    globalStore(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
+                std::initializer_list<Reg> srcs = {})
+    {
+        emitMemory(pc, Opcode::GlobalStore, thread_addrs, srcs.begin(),
+                   srcs.size());
+    }
 
     /** As above with sources in a container (no copy is taken). */
-    void globalStore(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
-                     const std::vector<Reg> &srcs);
-
-    /** Number of instructions emitted so far. */
-    std::size_t size() const { return trace.insts.size(); }
+    void
+    globalStore(std::uint32_t pc, const std::vector<Addr> &thread_addrs,
+                const std::vector<Reg> &srcs)
+    {
+        emitMemory(pc, Opcode::GlobalStore, thread_addrs, srcs.data(),
+                   srcs.size());
+    }
 
     /**
-     * Finalize and append the warp to the kernel. The builder must not
-     * be used afterwards.
+     * Close the warp in the kernel. The builder must not be used
+     * afterwards.
      */
     void finish();
 
   private:
+    /** Shared body of the compute() overloads. */
+    Reg emitCompute(std::uint32_t pc, const Reg *srcs,
+                    std::size_t num_srcs, std::uint32_t active_threads);
+
+    /** Shared body of the globalLoad() and globalStore() overloads. */
+    Reg emitMemory(std::uint32_t pc, Opcode want,
+                   const std::vector<Addr> &thread_addrs,
+                   const Reg *srcs, std::size_t num_srcs);
+
     /** Append an instruction, resolving register deps to trace indices. */
-    Reg append(std::uint32_t pc, Opcode op, const Reg *srcs,
-               std::size_t num_srcs, std::uint32_t active_threads,
-               const Addr *lines, std::uint32_t num_lines, bool produces);
+    Reg append(std::uint32_t pc, const Reg *srcs, std::size_t num_srcs,
+               std::uint32_t active_threads, const Addr *lines,
+               std::uint32_t num_lines, bool produces);
 
     KernelTrace &kernel;
     const HardwareConfig &config;
-    WarpTrace trace;
     /**
      * Producing trace index for each virtual register, indexed by the
      * register number (registers are issued densely by nextReg, so a

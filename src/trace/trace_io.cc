@@ -270,36 +270,36 @@ parseTrace(std::istream &is)
         return parseError(StatusCode::OutOfRange, toks.line(),
                           "warp count must be positive");
     }
+    std::vector<Addr> line_scratch;
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         GPUMECH_TRY(expectKeyword(toks, "warp", "warp header"));
-        WarpTrace warp;
-        GPUMECH_TRY(parseUnsigned(toks, warp.warpId, "warp id"));
-        GPUMECH_TRY(parseUnsigned(toks, warp.blockId, "block id"));
+        std::uint32_t warp_id = 0;
+        std::uint32_t block_id = 0;
+        GPUMECH_TRY(parseUnsigned(toks, warp_id, "warp id"));
+        GPUMECH_TRY(parseUnsigned(toks, block_id, "block id"));
         std::uint64_t n = 0;
         GPUMECH_TRY(parseUnsigned(toks, n, "inst count",
                                   maxRecordCount));
         if (n == 0) {
             return parseError(
                 StatusCode::OutOfRange, toks.line(),
-                msg("warp ", warp.warpId,
+                msg("warp ", warp_id,
                     ": instruction count must be positive"));
         }
-        warp.reserve(n, 0);
-        std::vector<Addr> line_scratch;
+        kernel.beginWarp(warp_id, block_id);
         for (std::uint64_t i = 0; i < n; ++i) {
-            WarpInst inst;
-            GPUMECH_TRY(parseUnsigned(toks, inst.pc, "inst pc"));
-            if (inst.pc >= kernel.numStaticInsts()) {
+            std::uint32_t pc = 0;
+            GPUMECH_TRY(parseUnsigned(toks, pc, "inst pc"));
+            if (pc >= kernel.numStaticInsts()) {
                 return parseError(
                     StatusCode::OutOfRange, toks.line(),
-                    msg("inst pc ", inst.pc,
-                        " out of range (static count ",
+                    msg("inst pc ", pc, " out of range (static count ",
                         kernel.numStaticInsts(), ")"));
             }
-            inst.op = kernel.opcodeOf(inst.pc);
-            GPUMECH_TRY(parseUnsigned(toks, inst.activeThreads,
-                                      "active threads"));
-            for (auto &d : inst.deps)
+            std::uint32_t active = 0;
+            GPUMECH_TRY(parseUnsigned(toks, active, "active threads"));
+            DepArray deps = {noDep, noDep, noDep};
+            for (auto &d : deps)
                 GPUMECH_TRY(parseSigned(toks, d, "dep index"));
             std::uint32_t num_lines = 0;
             GPUMECH_TRY(parseUnsigned(toks, num_lines, "line count",
@@ -310,13 +310,10 @@ parseTrace(std::istream &is)
                 GPUMECH_TRY(parseUnsigned(toks, addr, "line addr"));
                 line_scratch.push_back(addr);
             }
-            if (num_lines > 0) {
-                warp.addMemInst(inst, line_scratch.data(), num_lines);
-            } else {
-                warp.addInst(inst);
-            }
+            kernel.appendInst(pc, active, deps, line_scratch.data(),
+                              num_lines);
         }
-        kernel.addWarp(warp);
+        kernel.endWarp();
     }
 
     GPUMECH_TRY(expectKeyword(toks, "end", "trailer"));

@@ -195,7 +195,7 @@ loopKernel(const std::string &name, const LoopKernelParams &params,
         Rng rng = warpRng(name, w);
         std::uint32_t block = w / params.warpsPerBlock;
         TraceBuilder b(kernel, w, block, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+        b.reserve(hint.instsPerWarp);
 
         std::uint32_t iters = params.iterations;
         if (params.iterationVariance > 0.0) {
@@ -324,7 +324,7 @@ pointerChaseKernel(const std::string &name,
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         Rng rng = warpRng(name, w);
         TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+        b.reserve(hint.instsPerWarp);
 
         Reg ptr = regNone;
         for (std::uint32_t hop = 0; hop < params.chainLength; ++hop) {
@@ -361,7 +361,7 @@ reductionKernel(const std::string &name, const ReductionParams &params,
     std::vector<Addr> addrs;
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+        b.reserve(hint.instsPerWarp);
         Addr cursor = streamBase + static_cast<Addr>(w) * warpSlice;
 
         // Phase 1: accumulate coalesced elements.
@@ -428,7 +428,7 @@ tiledMatmulKernel(const std::string &name,
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         Rng rng = warpRng(name, w);
         TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+        b.reserve(hint.instsPerWarp);
 
         Reg acc = regNone;
         for (std::uint32_t t = 0; t < params.tiles; ++t) {
@@ -479,7 +479,7 @@ transposeKernel(const std::string &name, const TransposeParams &params,
     std::vector<Addr> addrs;
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+        b.reserve(hint.instsPerWarp);
         Addr in_cursor = streamBase + static_cast<Addr>(w) * warpSlice;
         Addr out_cursor = outBase + static_cast<Addr>(w) * warpSlice;
 
@@ -531,7 +531,7 @@ histogramKernel(const std::string &name, const HistogramParams &params,
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         Rng rng = warpRng(name, w);
         TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+        b.reserve(hint.instsPerWarp);
         Addr cursor = streamBase + static_cast<Addr>(w) * warpSlice;
 
         for (std::uint32_t it = 0; it < params.iterations; ++it) {

@@ -28,9 +28,9 @@ namespace gpumech
 /**
  * Workload-declared trace size hint: upper bounds on the per-warp
  * instruction count and coalesced line count. Generators pass these to
- * KernelTrace::reserveTrace() / TraceBuilder::reserve() so the flat
- * SoA arrays and the line arena are sized once up front instead of
- * growing geometrically during emission.
+ * KernelTrace::reserveTrace() so the flat SoA arrays and the line pool
+ * are sized once up front instead of growing geometrically during
+ * emission, and the instruction bound to TraceBuilder::reserve().
  */
 struct TraceSizeHint
 {

@@ -94,7 +94,7 @@ phasedKernel(const std::string &name,
     std::vector<Reg> loaded;
     for (std::uint32_t w = 0; w < num_warps; ++w) {
         TraceBuilder b(kernel, w, w / 4, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+        b.reserve(hint.instsPerWarp);
         Addr in_cursor = stream_base + static_cast<Addr>(w) * slice;
         Addr out_cursor = out_base + static_cast<Addr>(w) * slice;
 

@@ -456,8 +456,9 @@ TEST(SweepContainment, FailingCellIsRecordedAndGridCompletes)
                 failed_point = p;
         }
         for (std::size_t p = 0; p < points.size(); ++p) {
-            if (p != failed_point)
+            if (p != failed_point) {
                 EXPECT_EQ(swept_avg[p], clean_avg[p]);
+            }
         }
     }
 }

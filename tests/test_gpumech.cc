@@ -6,6 +6,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <string>
 
 #include "core/gpumech.hh"
 #include "timing/gpu_timing.hh"
@@ -144,9 +145,12 @@ TEST(GpuMech, PredictionWithinPhysicalBounds)
     }
 }
 
+// Parameters are std::string, not const char *: gtest prints a char
+// pointer with its address, which would put a per-run value into the
+// test names that ctest registers.
 class MicroAccuracy
     : public ::testing::TestWithParam<
-          std::tuple<const char *, SchedulingPolicy>>
+          std::tuple<std::string, SchedulingPolicy>>
 {
 };
 
@@ -171,9 +175,12 @@ TEST_P(MicroAccuracy, TracksOracleWithinFiftyPercent)
 INSTANTIATE_TEST_SUITE_P(
     Kernels, MicroAccuracy,
     ::testing::Combine(
-        ::testing::Values("micro_compute_chain", "micro_stream",
-                          "micro_divergent8", "micro_divergent32",
-                          "micro_l1_resident", "micro_write_burst"),
+        ::testing::Values(std::string("micro_compute_chain"),
+                          std::string("micro_stream"),
+                          std::string("micro_divergent8"),
+                          std::string("micro_divergent32"),
+                          std::string("micro_l1_resident"),
+                          std::string("micro_write_burst")),
         ::testing::Values(SchedulingPolicy::RoundRobin,
                           SchedulingPolicy::GreedyThenOldest)));
 

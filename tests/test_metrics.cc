@@ -26,7 +26,10 @@
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
 #include "common/trace_span.hh"
+#include "harness/experiment.hh"
+#include "harness/input_cache.hh"
 #include "json_check.hh"
+#include "workloads/workload.hh"
 
 namespace gpumech
 {
@@ -161,6 +164,26 @@ TEST_F(MetricsTest, ShardMergeIsDeterministicAcrossThreadCounts)
     setDefaultJobs(0);
 }
 
+TEST_F(MetricsTest, PoolMetricsCompleteWhenParallelForReturns)
+{
+    // Every worker records its pool metrics before the completion
+    // signal that may wake the submitter, so the chunk count is whole
+    // the moment parallelFor returns.
+    constexpr std::size_t n = 1000;
+    constexpr std::size_t grain = 100; // one chunk per grain at 4 jobs
+    setDefaultJobs(4);
+    for (int rep = 0; rep < 200; ++rep) {
+        Metrics::reset();
+        parallelFor(n, [](std::size_t) {}, grain, 4);
+        ASSERT_EQ(find("pool.chunks").value,
+                  static_cast<double>((n + grain - 1) / grain))
+            << "rep " << rep;
+        ASSERT_EQ(find("pool.items").value, static_cast<double>(n))
+            << "rep " << rep;
+    }
+    setDefaultJobs(0);
+}
+
 TEST_F(MetricsTest, CountsSurviveThreadExit)
 {
     // A worker thread's shard must merge into the totals when the
@@ -211,6 +234,63 @@ TEST_F(MetricsTest, SpanFeedsStageHistogram)
     MetricSnapshot snap = find("stage.unittest.ms");
     EXPECT_EQ(snap.kind, MetricKind::Histogram);
     EXPECT_EQ(snap.hist.count, 1u);
+}
+
+/** A small machine, so the pipeline tests stay quick under sanitizers. */
+HardwareConfig
+smallConfig()
+{
+    HardwareConfig c;
+    c.numCores = 2;
+    c.warpsPerCore = 4;
+    return c;
+}
+
+/** Observations of a stage histogram; 0 when it was never opened. */
+std::uint64_t
+stageCount(const std::string &stage)
+{
+    for (const MetricSnapshot &m : Metrics::snapshot()) {
+        if (m.name == "stage." + stage + ".ms")
+            return m.hist.count;
+    }
+    return 0;
+}
+
+TEST_F(MetricsTest, ModelOnGeneratedWorkloadRecordsGenerateNotParse)
+{
+    // Generating a workload's trace is its own stage; "parse" is kept
+    // for reading trace files. Both the cached path (the CLI and
+    // daemon) and the uncached one must say so.
+    const Workload *workload = findWorkload("micro_stream");
+    ASSERT_NE(workload, nullptr);
+    HardwareConfig config = smallConfig();
+    for (bool cached : {false, true}) {
+        Metrics::reset();
+        InputCache cache;
+        std::vector<KernelPrediction> preds = predictSuite(
+            {*workload}, config, {}, 1, cached ? &cache : nullptr);
+        ASSERT_TRUE(preds.at(0).ok()) << preds[0].status.toString();
+        EXPECT_EQ(stageCount("generate"), 1u) << "cached=" << cached;
+        EXPECT_EQ(stageCount("parse"), 0u) << "cached=" << cached;
+    }
+}
+
+TEST_F(MetricsTest, ProfilerMissRecordsOneProfileSpan)
+{
+    // GpuMechProfiler opens the "profile" span itself; the cache must
+    // not open a second one around it.
+    const Workload *workload = findWorkload("micro_stream");
+    ASSERT_NE(workload, nullptr);
+    HardwareConfig config = smallConfig();
+    InputCache cache;
+    cache.profiler(*workload, config);
+    EXPECT_EQ(stageCount("profile"), 1u);
+    cache.profiler(*workload, config); // a hit profiles nothing
+    EXPECT_EQ(stageCount("profile"), 1u);
+    Metrics::reset();
+    cache.mrcProfiler(*workload, config);
+    EXPECT_EQ(stageCount("profile"), 1u);
 }
 
 TEST_F(MetricsTest, SpanNestingRecordsBothEvents)

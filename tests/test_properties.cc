@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "common/rng.hh"
 #include "core/gpumech.hh"
@@ -51,9 +52,11 @@ TEST(Properties, CoalescerFuzz)
     }
 }
 
+// std::string rather than const char *, so the registered test names
+// carry the suite name and not a per-run pointer address.
 class SuiteByWarpCount
     : public ::testing::TestWithParam<
-          std::tuple<const char *, std::uint32_t>>
+          std::tuple<std::string, std::uint32_t>>
 {
 };
 
@@ -75,7 +78,9 @@ TEST_P(SuiteByWarpCount, EveryKernelGeneratesAndValidates)
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SuiteByWarpCount,
-    ::testing::Combine(::testing::Values("rodinia", "parboil", "sdk"),
+    ::testing::Combine(::testing::Values(std::string("rodinia"),
+                                         std::string("parboil"),
+                                         std::string("sdk")),
                        ::testing::Values(8u, 16u, 48u)));
 
 TEST(Properties, ModelFiniteAndPositiveForAllEvaluationKernels)

@@ -164,25 +164,69 @@ TEST(TraceBuilder, CoalescesLoadAddresses)
     EXPECT_EQ(kernel.warp(0).activeThreads(0), 32u);
 }
 
+TEST(TraceBuilder, SecondOpenBuilderPanics)
+{
+    HardwareConfig config = smallConfig();
+    KernelTrace kernel("t");
+    kernel.addStatic(Opcode::IntAlu);
+    TraceBuilder first(kernel, 0, 0, config);
+    EXPECT_DEATH(TraceBuilder(kernel, 1, 0, config), "still open");
+}
+
+TEST(TraceBuilder, UnfinishedBuilderLeavesNoTrace)
+{
+    HardwareConfig config = smallConfig();
+    KernelTrace kernel("t");
+    auto pc_ld = kernel.addStatic(Opcode::GlobalLoad);
+    auto pc_add = kernel.addStatic(Opcode::IntAlu);
+    std::vector<Addr> addrs{0x0, 0x80, 0x100};
+    {
+        TraceBuilder b(kernel, 0, 0, config);
+        b.compute(pc_add, {b.globalLoad(pc_ld, addrs)});
+        b.finish();
+    }
+    const std::uint32_t warps = kernel.numWarps();
+    const std::uint64_t insts = kernel.totalInsts();
+    const std::uint64_t lines = kernel.totalLines();
+    {
+        TraceBuilder b(kernel, 1, 0, config);
+        b.globalLoad(pc_ld, addrs);
+        b.compute(pc_add);
+    }
+    EXPECT_EQ(kernel.numWarps(), warps);
+    EXPECT_EQ(kernel.totalInsts(), insts);
+    EXPECT_EQ(kernel.totalLines(), lines);
+
+    // The next warp lands where the abandoned one began.
+    TraceBuilder b(kernel, 1, 0, config);
+    b.globalLoad(pc_ld, {0x200});
+    b.finish();
+    EXPECT_EQ(kernel.warp(1).lines(0).toVector(), std::vector<Addr>{0x200});
+    EXPECT_EQ(kernel.totalLines(), lines + 1);
+    EXPECT_TRUE(kernel.validate());
+}
+
 TEST(WarpTrace, ValidateCatchesForwardDeps)
 {
-    WarpTrace warp;
-    WarpInst inst;
-    inst.op = Opcode::IntAlu;
-    inst.activeThreads = 32;
-    inst.deps[0] = 5; // forward reference
-    warp.addInst(inst);
-    EXPECT_FALSE(warp.validate());
+    KernelTrace kernel("t");
+    kernel.addStatic(Opcode::IntAlu);
+    DepArray forward = {5, noDep, noDep}; // forward reference
+    ASSERT_TRUE(kernel.adoptColumns({0}, {0}, {1}, {0}, {32}, {forward},
+                                    {0}, {})
+                    .ok());
+    EXPECT_FALSE(kernel.validate());
 }
 
 TEST(WarpTrace, ValidateCatchesMemInstWithoutLines)
 {
-    WarpTrace warp;
-    WarpInst inst;
-    inst.op = Opcode::GlobalLoad;
-    inst.activeThreads = 32;
-    warp.addInst(inst); // memory instruction with an empty line slice
-    EXPECT_FALSE(warp.validate());
+    KernelTrace kernel("t");
+    kernel.addStatic(Opcode::GlobalLoad);
+    DepArray none = {noDep, noDep, noDep};
+    // A memory instruction with an empty line slice.
+    ASSERT_TRUE(
+        kernel.adoptColumns({0}, {0}, {1}, {0}, {32}, {none}, {0}, {})
+            .ok());
+    EXPECT_FALSE(kernel.validate());
 }
 
 TEST(WarpTrace, CountsMemoryWork)

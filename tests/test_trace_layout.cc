@@ -4,11 +4,12 @@
  * collector engine.
  *
  * The golden values were captured from the pre-SoA build (per-warp
- * WarpInst vectors with owning std::vector<Addr> line lists, serial
- * collector) at HardwareConfig::baseline(); the flat layout and the
- * parallel collector must reproduce every number bit-for-bit at 1, 2,
- * and 8 threads. Also covers the structural edge cases the arena
- * introduces: line-slice bounds validation and empty kernels.
+ * arrays of instruction records, each owning a std::vector<Addr> of
+ * lines; serial collector) at HardwareConfig::baseline(). The flat
+ * layout, which builders now append to directly, and the parallel
+ * collector must reproduce every number bit-for-bit at 1, 2, and 8
+ * threads. Also covers the structural edge cases of the arena: line
+ * slices that stay inside the kernel pool, and empty kernels.
  */
 
 #include <gtest/gtest.h>
@@ -223,23 +224,27 @@ TEST(TraceLayout, LineSlicesStayInsidePool)
 
 TEST(TraceLayout, ValidateCatchesOutOfBoundsSlice)
 {
-    WarpTrace warp;
-    WarpInst inst;
-    inst.op = Opcode::GlobalLoad;
-    inst.activeThreads = 32;
-    inst.lineOffset = 5; // past the end of the (empty) local arena
-    inst.lineCount = 2;
-    warp.insts.push_back(inst);
-    EXPECT_FALSE(warp.validate());
+    // A load claiming two lines of an empty pool would slice past the
+    // arena's end; column adoption refuses it and leaves the trace
+    // empty.
+    DepArray none = {noDep, noDep, noDep};
+    KernelTrace bad("bad");
+    bad.addStatic(Opcode::GlobalLoad);
+    Status status =
+        bad.adoptColumns({0}, {0}, {1}, {0}, {32}, {none}, {2}, {});
+    EXPECT_EQ(status.code(), StatusCode::OutOfRange);
+    EXPECT_EQ(bad.numWarps(), 0u);
+    EXPECT_EQ(bad.totalLines(), 0u);
 
-    // A correctly registered slice passes.
-    WarpTrace ok;
-    WarpInst ld;
-    ld.op = Opcode::GlobalLoad;
-    ld.activeThreads = 32;
-    Addr lines[] = {0x100, 0x180};
-    ok.addMemInst(ld, lines, 2);
+    // A correctly sized slice passes.
+    KernelTrace ok("ok");
+    ok.addStatic(Opcode::GlobalLoad);
+    ASSERT_TRUE(ok.adoptColumns({0}, {0}, {1}, {0}, {32}, {none}, {2},
+                                {0x100, 0x180})
+                    .ok());
     EXPECT_TRUE(ok.validate());
+    EXPECT_EQ(ok.warp(0).lines(0).toVector(),
+              (std::vector<Addr>{0x100, 0x180}));
 }
 
 TEST(TraceLayout, EmptyKernelCollectsAndProfilesCleanly)
