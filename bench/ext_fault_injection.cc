@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "timing.hh"
+
 #include "common/args.hh"
 #include "common/isolation.hh"
 #include "common/json.hh"
@@ -44,26 +46,6 @@ using namespace gpumech;
 
 namespace
 {
-
-using clock_type = std::chrono::steady_clock;
-
-/** Best-of-@p reps wall-clock time of fn(), in milliseconds. */
-template <typename Fn>
-double
-timeMs(unsigned reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        auto t0 = clock_type::now();
-        fn();
-        double ms = std::chrono::duration<double, std::milli>(
-                        clock_type::now() - t0)
-                        .count();
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
-}
 
 /** Stress suite: medium kernels covering every checkpointed stage. */
 std::vector<Workload>

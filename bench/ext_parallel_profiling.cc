@@ -27,13 +27,13 @@
  *          --out FILE (JSON output path, default BENCH_parallel.json)
  */
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
 
 #include "gates.hh"
+#include "timing.hh"
 
 #include "common/args.hh"
 #include "common/json.hh"
@@ -50,30 +50,6 @@ using namespace gpumech;
 
 namespace
 {
-
-using clock_type = std::chrono::steady_clock;
-
-double
-toMs(clock_type::duration d)
-{
-    return std::chrono::duration<double, std::milli>(d).count();
-}
-
-/** Best-of-@p reps wall-clock time of fn(), in milliseconds. */
-template <typename Fn>
-double
-timeMs(unsigned reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        auto t0 = clock_type::now();
-        fn();
-        double ms = toMs(clock_type::now() - t0);
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
-}
 
 bool
 sameProfiles(const std::vector<IntervalProfile> &a,

@@ -14,9 +14,11 @@
  *     the cold output before its latency counts. Reported as
  *     p50/p99/mean over many repeats;
  *  3. sustained daemon throughput — a JSON-lines batch cycling over
- *     the micro suite at two configs, driven through serveLines (the
- *     gpumech_serve intake/dispatch path including request parsing
- *     and response serialization) on a pre-warmed engine.
+ *     the micro suite at two configs, driven through serveFds over a
+ *     pipe pair (gpumech_serve's stdin mode: the connection
+ *     supervisor's intake, admission, dispatch and ordered writer,
+ *     including request parsing and response serialization) on a
+ *     pre-warmed engine.
  *
  * Results go to stdout as a table and to BENCH_serve.json (override
  * with --out) so the perf trajectory is tracked across PRs.
@@ -34,13 +36,15 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/args.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "service/engine_session.hh"
 #include "service/request.hh"
-#include "service/serve_loop.hh"
+#include "service/supervisor.hh"
 
 using namespace gpumech;
 
@@ -90,6 +94,45 @@ assertModelOnly(const Response &resp, const char *what)
                   resp.stats.collectorMisses, ", profiler ",
                   resp.stats.profilerMisses, " misses)"));
     }
+}
+
+/**
+ * Serve @p batch through serveFds over a pipe pair. A feeder thread
+ * writes the batch and a drainer thread reads the responses, because
+ * either side can exceed the pipe buffer.
+ */
+SupervisorSummary
+serveBatch(EngineSession &engine, const std::string &batch,
+           const SupervisorOptions &options)
+{
+    int in_pipe[2], out_pipe[2];
+    if (::pipe(in_pipe) != 0 || ::pipe(out_pipe) != 0)
+        fatal("pipe() failed");
+    std::thread feeder([&] {
+        std::size_t done = 0;
+        while (done < batch.size()) {
+            ssize_t n = ::write(in_pipe[1], batch.data() + done,
+                                batch.size() - done);
+            if (n <= 0)
+                break;
+            done += static_cast<std::size_t>(n);
+        }
+        ::close(in_pipe[1]);
+    });
+    std::thread drainer([&] {
+        char chunk[1 << 16];
+        while (::read(out_pipe[0], chunk, sizeof chunk) > 0) {
+        }
+    });
+    resetServeDrain();
+    SupervisorSummary summary =
+        serveFds(engine, in_pipe[0], out_pipe[1], options);
+    ::close(out_pipe[1]);
+    feeder.join();
+    drainer.join();
+    ::close(in_pipe[0]);
+    ::close(out_pipe[0]);
+    return summary;
 }
 
 } // namespace
@@ -183,25 +226,22 @@ main(int argc, char **argv)
     }
 
     EngineSession daemon;
-    ServeOptions serve_options;
+    SupervisorOptions serve_options;
     serve_options.includeOutput = false;
     // Admission control is not under test here: the queue must admit
     // the whole flood or the shed requests would deflate the rate.
     serve_options.maxQueue = batch_n;
     auto run_batch = [&] {
-        resetServeDrain();
-        std::istringstream in(batch.str());
-        std::ostringstream sink;
-        return serveLines(daemon, in, sink, serve_options);
+        return serveBatch(daemon, batch.str(), serve_options);
     };
-    ServeSummary warmup = run_batch();
+    SupervisorSummary warmup = run_batch();
     if (warmup.evaluated != batch_n || warmup.failed != 0)
         fatal(msg("warm-up batch: ", warmup.evaluated, " evaluated (",
                   warmup.failed, " failed, ", warmup.shed,
                   " shed) of ", warmup.received));
 
     auto b0 = clock_type::now();
-    ServeSummary steady = run_batch();
+    SupervisorSummary steady = run_batch();
     double batch_ms = toMs(clock_type::now() - b0);
     if (steady.evaluated != batch_n || steady.failed != 0)
         fatal(msg("steady batch: ", steady.failed, " of ",

@@ -61,7 +61,6 @@
 #include "common/json_value.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "service/serve_loop.hh"
 #include "service/supervisor.hh"
 
 using namespace gpumech;

@@ -26,7 +26,6 @@
  *          --dir DIR (trace file directory, default a temp dir)
  */
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -34,6 +33,7 @@
 #include <vector>
 
 #include "gates.hh"
+#include "timing.hh"
 
 #include "common/args.hh"
 #include "common/json.hh"
@@ -49,26 +49,6 @@ using namespace gpumech;
 
 namespace
 {
-
-using clock_type = std::chrono::steady_clock;
-
-/** Best-of-@p reps wall-clock time of fn(), in milliseconds. */
-template <typename Fn>
-double
-timeMs(unsigned reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        auto t0 = clock_type::now();
-        fn();
-        double ms = std::chrono::duration<double, std::milli>(
-                        clock_type::now() - t0)
-                        .count();
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
-}
 
 std::uint64_t
 fileBytes(const std::string &path)

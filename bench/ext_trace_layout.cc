@@ -25,13 +25,13 @@
  *          --out FILE (JSON path, default BENCH_trace_layout.json)
  */
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
 
 #include "gates.hh"
+#include "timing.hh"
 
 #include "common/args.hh"
 #include "common/json.hh"
@@ -45,26 +45,6 @@ using namespace gpumech;
 
 namespace
 {
-
-using clock_type = std::chrono::steady_clock;
-
-/** Best-of-@p reps wall-clock time of fn(), in milliseconds. */
-template <typename Fn>
-double
-timeMs(unsigned reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        auto t0 = clock_type::now();
-        fn();
-        double ms = std::chrono::duration<double, std::milli>(
-                        clock_type::now() - t0)
-                        .count();
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
-}
 
 // ---- in-bench mirror of the retired AoS layout ---------------------
 // Each dynamic instruction is a standalone struct owning its coalesced

@@ -2,102 +2,71 @@
  * @file
  * Section VI-D reproduction: simulation-time comparison between
  * GPUMech (input collection + interval algorithm + multi-warp model)
- * and the detailed timing simulator, using google-benchmark. The
- * paper reports a 97x average speedup; the shape requirement is a
- * large (>10x) advantage for the model, growing when a configuration
- * is re-evaluated with the representative warp already selected.
+ * and the detailed timing simulator. The paper reports a 97x average
+ * speedup; the shape requirement is a large (>10x) advantage for the
+ * model, growing when a configuration is re-evaluated with the
+ * representative warp already selected.
+ *
+ * Per kernel, three best-of-5 wall-clock series over pre-generated
+ * traces (generation cost stays outside the timed region): the
+ * detailed timing simulation, the full GPUMech pipeline, and an
+ * evaluateAt re-evaluation at a swept MSHR count; then the speedup of
+ * each model series over the simulation.
  */
 
-#include <benchmark/benchmark.h>
+#include <iostream>
 
+#include "timing.hh"
+
+#include "common/table.hh"
 #include "core/gpumech.hh"
-#include "harness/experiment.hh"
 #include "timing/gpu_timing.hh"
 #include "workloads/workload.hh"
 
 using namespace gpumech;
 
-namespace
+int
+main()
 {
-
-const std::vector<std::string> &
-benchKernels()
-{
-    static const std::vector<std::string> kernels = {
-        "srad_kernel1", "cfd_step_factor", "kmeans_invert_mapping",
-        "vectorAdd", "sgemm_tiled"};
-    return kernels;
-}
-
-/** Pre-generated traces so generation cost is outside the loop. */
-const KernelTrace &
-traceFor(const std::string &name)
-{
-    static std::map<std::string, KernelTrace> cache;
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-        it = cache.emplace(name,
-                           workloadByName(name).generate(
-                               HardwareConfig::baseline()))
-                 .first;
-    }
-    return it->second;
-}
-
-void
-BM_DetailedTiming(benchmark::State &state)
-{
-    const std::string &name = benchKernels()[state.range(0)];
-    const KernelTrace &kernel = traceFor(name);
-    HardwareConfig config = HardwareConfig::baseline();
-    for (auto _ : state) {
-        GpuTiming sim(kernel, config, SchedulingPolicy::RoundRobin);
-        TimingStats stats = sim.run();
-        benchmark::DoNotOptimize(stats.totalCycles);
-    }
-    state.SetLabel(name);
-}
-
-void
-BM_GpuMechFull(benchmark::State &state)
-{
-    const std::string &name = benchKernels()[state.range(0)];
-    const KernelTrace &kernel = traceFor(name);
-    HardwareConfig config = HardwareConfig::baseline();
-    for (auto _ : state) {
-        GpuMechResult r = runGpuMech(kernel, config);
-        benchmark::DoNotOptimize(r.cpi);
-    }
-    state.SetLabel(name);
-}
-
-void
-BM_GpuMechReevaluate(benchmark::State &state)
-{
-    // Section VI-D: exploring a new hardware configuration reuses the
-    // representative warp; only the cache simulation and its interval
-    // profile rerun.
-    const std::string &name = benchKernels()[state.range(0)];
-    const KernelTrace &kernel = traceFor(name);
-    HardwareConfig config = HardwareConfig::baseline();
-    GpuMechProfiler profiler(kernel, config);
+    constexpr unsigned kReps = 5;
+    const HardwareConfig config = HardwareConfig::baseline();
     HardwareConfig swept = config;
     swept.numMshrs = 64;
-    for (auto _ : state) {
-        GpuMechResult r = profiler.evaluateAt(
-            swept, SchedulingPolicy::RoundRobin);
-        benchmark::DoNotOptimize(r.cpi);
+
+    std::cout << "=== Section VI-D: GPUMech vs detailed timing "
+                 "simulation (best of "
+              << kReps << ", ms) ===\n\n";
+    Table table({"kernel", "timing", "gpumech", "reevaluate",
+                 "speedup", "reeval speedup"});
+    volatile double sink = 0.0; // keeps the timed results observable
+    for (const char *name :
+         {"srad_kernel1", "cfd_step_factor", "kmeans_invert_mapping",
+          "vectorAdd", "sgemm_tiled"}) {
+        const KernelTrace kernel =
+            workloadByName(name).generate(config);
+
+        double timing_ms = timeMs(kReps, [&] {
+            GpuTiming sim(kernel, config, SchedulingPolicy::RoundRobin);
+            sink = sink + sim.run().totalCycles;
+        });
+        double full_ms = timeMs(kReps, [&] {
+            sink = sink + runGpuMech(kernel, config).cpi;
+        });
+        // Exploring a new hardware configuration reuses the
+        // representative warp; only the cache simulation and its
+        // interval profile rerun.
+        GpuMechProfiler profiler(kernel, config);
+        double reeval_ms = timeMs(kReps, [&] {
+            sink = sink +
+                   profiler.evaluateAt(swept, SchedulingPolicy::RoundRobin)
+                       .cpi;
+        });
+
+        table.addRow({name, fmtDouble(timing_ms, 3),
+                      fmtDouble(full_ms, 3), fmtDouble(reeval_ms, 3),
+                      fmtDouble(timing_ms / full_ms, 1) + "x",
+                      fmtDouble(timing_ms / reeval_ms, 1) + "x"});
     }
-    state.SetLabel(name);
+    table.print(std::cout);
+    return 0;
 }
-
-} // namespace
-
-BENCHMARK(BM_DetailedTiming)->DenseRange(0, 4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GpuMechFull)->DenseRange(0, 4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GpuMechReevaluate)->DenseRange(0, 4)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -1,15 +1,14 @@
 /**
  * @file
- * Multi-client connection supervisor for the gpumech_serve daemon's
- * Unix-socket mode.
+ * Connection supervisor: the gpumech_serve daemon's one serving loop,
+ * for both its Unix-socket mode and its stdin/stdout mode.
  *
- * The single-connection loop (serve_loop.hh) accepts one client at a
- * time; the supervisor accepts many concurrently and keeps one engine
- * — and its warm cache — shared across all of them:
+ * Every connection — each client accepted on the socket, or the one
+ * stdin/stdout fd pair — shares one engine and its warm cache:
  *
- *   accept loop   non-blocking listen fd polled in short ticks;
- *                 reaps finished connections and notices a drain
- *                 request within one tick
+ *   accept loop   (socket mode) non-blocking listen fd polled in
+ *                 short ticks; reaps finished connections and notices
+ *                 a drain request within one tick
  *   per conn      a reader thread (hardened line intake: byte cap,
  *                 idle timeout, cooperative stop) and a writer thread
  *                 (responses written strictly in that client's seq
@@ -33,10 +32,10 @@
  * stops accepting, stops intake on every connection, finishes and
  * answers everything already admitted, counts buffered-but-unread
  * lines as dropped, flushes every writer within a bounded grace
- * (a stalled peer is cut off and its undelivered responses counted
- * as dropped, so drain terminates even with writeTimeoutMs 0), and
- * returns. Fatal listen-socket errors run the same teardown before
- * reporting the Status, so no thread is ever left running.
+ * (a stalled socket peer is cut off and its undelivered responses
+ * counted as dropped, so drain terminates even with writeTimeoutMs
+ * 0), and returns. Fatal listen-socket errors run the same teardown
+ * before reporting the Status, so no thread is ever left running.
  */
 
 #ifndef GPUMECH_SERVICE_SUPERVISOR_HH
@@ -51,7 +50,7 @@
 namespace gpumech
 {
 
-/** Supervisor knobs (the daemon's --serve-* flags). */
+/** Supervisor knobs (the daemon's serving flags). */
 struct SupervisorOptions
 {
     /** Shared admission queue bound before load shedding. Min 1. */
@@ -62,13 +61,15 @@ struct SupervisorOptions
 
     /**
      * Per-client bound on requests admitted but not yet answered;
-     * beyond it the client is shed (fairness quota). Min 1.
+     * beyond it the client is shed (fairness quota). Min 1. A share
+     * between clients, so serveFds's sole client gets maxQueue.
      */
     std::size_t maxInflight = 8;
 
     /**
      * Per-response write deadline; a client that cannot absorb its
-     * responses this long is disconnected. 0 = wait forever.
+     * responses this long is disconnected. 0 = wait forever. Socket
+     * clients only: serveFds writes block.
      */
     std::uint64_t writeTimeoutMs = 5000;
 
@@ -85,7 +86,7 @@ struct SupervisorOptions
 /** Totals of one supervised serving run. */
 struct SupervisorSummary
 {
-    std::uint64_t connections = 0; //!< clients accepted
+    std::uint64_t connections = 0; //!< connections served
     std::uint64_t received = 0;    //!< request lines read
     std::uint64_t evaluated = 0;   //!< requests handled by the engine
     std::uint64_t failed = 0;      //!< evaluated with a non-ok status
@@ -113,6 +114,35 @@ struct SupervisorSummary
 Result<SupervisorSummary>
 serveSupervised(EngineSession &engine, const std::string &socket_path,
                 const SupervisorOptions &options = {});
+
+/**
+ * Serve the one already-open connection @p in_fd / @p out_fd (the
+ * daemon's stdin/stdout) with the same reader, writer, dispatchers
+ * and admission queue as a socket client. Returns once @p in_fd
+ * reaches EOF and every request read is answered, or once a drain
+ * completes. A failed write to @p out_fd ends intake.
+ *
+ * A pipe is not a socket, so three things differ: the fds stay
+ * blocking (the parent shell shares their file descriptions), writes
+ * block (writeTimeoutMs cannot bound them), and nothing here closes
+ * either fd. The byte cap and idle timeout apply as to any client.
+ */
+SupervisorSummary serveFds(EngineSession &engine, int in_fd,
+                           int out_fd,
+                           const SupervisorOptions &options = {});
+
+/**
+ * Ask the serving loop to drain and return (async-signal-safe; the
+ * daemon's SIGTERM/SIGINT handler calls this). Intake stops within
+ * one poll tick; admitted requests are still answered.
+ */
+void requestServeDrain();
+
+/** True once a drain has been requested. */
+bool serveDraining();
+
+/** Re-arm serving after a drain (tests run several loops per process). */
+void resetServeDrain();
 
 } // namespace gpumech
 

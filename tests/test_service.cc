@@ -3,16 +3,19 @@
  * Service-layer tests: the typed request model (argv and JSON-lines
  * parsers, including the checked count-valued options), the
  * EngineSession front-end contract (warm-cache reuse, containment,
- * exit-code semantics), the response serialization, the serving loop
- * (ordering, malformed lines, admission control, drain), and the
- * multi-client connection supervisor (per-client ordering/routing,
- * fairness quotas with retry hints, misbehaving-client isolation,
- * graceful drain with work in flight).
+ * exit-code semantics), the response serialization, and the
+ * connection supervisor: serving one fd pair over pipes (ordering,
+ * malformed lines, admission control, drain, a dead output) and
+ * multi-client socket serving (per-client ordering/routing, fairness
+ * quotas with retry hints, misbehaving-client isolation, graceful
+ * drain with work in flight).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <sstream>
 #include <thread>
 
@@ -23,7 +26,6 @@
 
 #include "common/json_value.hh"
 #include "service/engine_session.hh"
-#include "service/serve_loop.hh"
 #include "service/supervisor.hh"
 
 using namespace gpumech;
@@ -422,49 +424,105 @@ TEST(EngineSession, PingAndStats)
               1.0);
 }
 
-TEST(ServeLoop, AnswersEveryLineInOrder)
+// ---------------------------------------------------------------------
+// Connection supervisor over one fd pair (stdin mode)
+// ---------------------------------------------------------------------
+
+/** What serveFds answered over a pipe pair, and its totals. */
+struct PipeRun
+{
+    SupervisorSummary summary;
+    std::string output;
+};
+
+/**
+ * serveFds over two pipes: a feeder thread writes @p input and closes
+ * the input pipe (EOF), a drainer thread collects every response.
+ */
+PipeRun
+serveOverPipes(EngineSession &engine, const std::string &input,
+               const SupervisorOptions &options = {})
+{
+    int in_pipe[2], out_pipe[2];
+    EXPECT_EQ(::pipe(in_pipe), 0);
+    EXPECT_EQ(::pipe(out_pipe), 0);
+    std::thread feeder([&] {
+        std::size_t done = 0;
+        while (done < input.size()) {
+            ssize_t n = ::write(in_pipe[1], input.data() + done,
+                                input.size() - done);
+            if (n <= 0)
+                break;
+            done += static_cast<std::size_t>(n);
+        }
+        ::close(in_pipe[1]);
+    });
+    PipeRun run;
+    std::thread drainer([&] {
+        char chunk[4096];
+        ssize_t n;
+        while ((n = ::read(out_pipe[0], chunk, sizeof chunk)) > 0)
+            run.output.append(chunk, static_cast<std::size_t>(n));
+    });
+    run.summary = serveFds(engine, in_pipe[0], out_pipe[1], options);
+    ::close(out_pipe[1]); // serveFds leaves the fds open
+    feeder.join();
+    drainer.join();
+    ::close(in_pipe[0]);
+    ::close(out_pipe[0]);
+    return run;
+}
+
+/** Every response line of @p output, parsed. */
+std::vector<JsonValue>
+responseLines(const std::string &output)
+{
+    std::vector<JsonValue> docs;
+    std::istringstream lines(output);
+    std::string line;
+    while (std::getline(lines, line)) {
+        Result<JsonValue> doc = parseJson(line);
+        EXPECT_TRUE(doc.ok()) << line;
+        if (doc.ok())
+            docs.push_back(std::move(doc).value());
+    }
+    return docs;
+}
+
+TEST(ServeFds, AnswersEveryLineInOrder)
 {
     resetServeDrain();
     EngineSession engine;
-    std::istringstream in(
+    SupervisorOptions options;
+    options.dispatchers = 1; // serial: the second model request is warm
+    PipeRun run = serveOverPipes(
+        engine,
         R"({"cmd":"ping","id":"a"})" "\n"
         "not json\n"
         R"({"cmd":"model","kernel":"micro_stream",)"
         R"("config":{"warps":4,"cores":2},"id":"b"})" "\n"
         R"({"cmd":"model","kernel":"micro_stream",)"
-        R"("config":{"warps":4,"cores":2},"id":"c"})" "\n");
-    std::ostringstream out;
-    ServeOptions options;
-    options.maxBatch = 1; // serial dispatch: fully ordered output
-    ServeSummary summary = serveLines(engine, in, out, options);
+        R"("config":{"warps":4,"cores":2},"id":"c"})" "\n",
+        options);
 
-    EXPECT_EQ(summary.received, 4u);
-    EXPECT_EQ(summary.evaluated, 3u);
-    EXPECT_EQ(summary.malformed, 1u);
-    EXPECT_EQ(summary.shed, 0u);
-    EXPECT_EQ(summary.failed, 0u);
+    EXPECT_EQ(run.summary.connections, 1u);
+    EXPECT_EQ(run.summary.received, 4u);
+    EXPECT_EQ(run.summary.evaluated, 3u);
+    EXPECT_EQ(run.summary.malformed, 1u);
+    EXPECT_EQ(run.summary.shed, 0u);
+    EXPECT_EQ(run.summary.failed, 0u);
 
-    std::istringstream lines(out.str());
-    std::string line;
-    std::uint64_t last_seq = 0;
-    std::size_t count = 0;
-    while (std::getline(lines, line)) {
-        Result<JsonValue> doc = parseJson(line);
-        ASSERT_TRUE(doc.ok()) << line;
-        std::uint64_t seq =
-            static_cast<std::uint64_t>(doc.value().find("seq")->number());
-        EXPECT_GT(seq, last_seq); // maxBatch=1 keeps strict seq order
-        last_seq = seq;
-        ++count;
-    }
-    EXPECT_EQ(count, 4u);
+    std::vector<JsonValue> docs = responseLines(run.output);
+    ASSERT_EQ(docs.size(), 4u);
+    for (std::size_t i = 0; i < docs.size(); ++i)
+        EXPECT_EQ(docs[i].find("seq")->number(), double(i + 1));
 
     // The warm model request reused the first one's artifacts.
     EXPECT_EQ(engine.session().cache.profilerMisses(), 1u);
     EXPECT_GE(engine.session().cache.profilerHits(), 1u);
 }
 
-TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
+TEST(ServeFds, MalformedNumericsDoNotKillTheDaemon)
 {
     // Regression: bad numeric fields used to reach fatal() via the
     // unchecked getDouble, killing the whole serving process. Each of
@@ -472,7 +530,8 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
     // — the trailing ping proves the daemon survived.
     resetServeDrain();
     EngineSession engine;
-    std::istringstream in(
+    PipeRun run = serveOverPipes(
+        engine,
         R"({"cmd":"model","kernel":"micro_stream",)"
         R"("config":{"bw":-5},"id":"a"})" "\n"
         R"({"cmd":"sweep","kernel":"micro_stream",)"
@@ -480,22 +539,12 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
         R"({"cmd":"tune","kernel":"micro_stream",)"
         R"("max_cost":-2,"id":"c"})" "\n"
         R"({"cmd":"ping","id":"d"})" "\n");
-    std::ostringstream out;
-    ServeOptions options;
-    options.maxBatch = 1;
-    ServeSummary summary = serveLines(engine, in, out, options);
 
-    EXPECT_EQ(summary.received, 4u);
+    EXPECT_EQ(run.summary.received, 4u);
 
-    std::istringstream lines(out.str());
-    std::string line;
     std::map<std::string, bool> ok_by_id;
-    while (std::getline(lines, line)) {
-        Result<JsonValue> doc = parseJson(line);
-        ASSERT_TRUE(doc.ok()) << line;
-        ok_by_id[doc.value().find("id")->string()] =
-            doc.value().find("ok")->boolean();
-    }
+    for (const JsonValue &doc : responseLines(run.output))
+        ok_by_id[doc.find("id")->string()] = doc.find("ok")->boolean();
     ASSERT_EQ(ok_by_id.size(), 4u);
     EXPECT_FALSE(ok_by_id["a"]);
     EXPECT_FALSE(ok_by_id["b"]);
@@ -503,65 +552,156 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
     EXPECT_TRUE(ok_by_id["d"]); // still alive
 }
 
-TEST(ServeLoop, ShedsWhenQueueIsFull)
+/** A suite request whose cold collect of micro_stream stalls 300 ms. */
+std::string
+stalledSuiteLine(const std::string &id, int warps)
+{
+    std::ostringstream os;
+    os << R"({"cmd":"suite","suite":"micro","predict":true,)"
+       << R"("config":{"warps":)" << warps << R"(,"cores":2},)"
+       << R"("inject":"micro_stream:collect:1:300","id":")" << id
+       << R"("})" << "\n";
+    return os.str();
+}
+
+TEST(ServeFds, ShedsWhenQueueIsFull)
 {
     resetServeDrain();
     EngineSession engine;
-    // First request stalls 300ms inside the engine (injected fault),
-    // with a queue bound of 1 and serial dispatch. The reader drains
-    // the remaining lines while the stall holds the dispatcher, so at
-    // least one later request must be shed.
-    std::ostringstream feed;
-    feed << R"({"cmd":"suite","suite":"micro","predict":true,)"
-         << R"("config":{"warps":4,"cores":2},)"
-         << R"("inject":"micro_stream:collect:1:300","id":"slow"})"
-         << "\n";
+    // The first request stalls 300ms inside the engine (injected
+    // fault), with a queue bound of 1 and serial dispatch. The reader
+    // drains the remaining lines while the stall holds the
+    // dispatcher, so at least one later request must be shed.
+    std::string feed = stalledSuiteLine("slow", 4);
     for (int i = 0; i < 4; ++i)
-        feed << R"({"cmd":"ping","id":"p)" << i << R"("})" << "\n";
-    std::istringstream in(feed.str());
-    std::ostringstream out;
-    ServeOptions options;
+        feed += R"({"cmd":"ping","id":"p)" + std::to_string(i) +
+                R"("})" "\n";
+    SupervisorOptions options;
     options.maxQueue = 1;
-    options.maxBatch = 1;
-    ServeSummary summary = serveLines(engine, in, out, options);
+    options.dispatchers = 1;
+    PipeRun run = serveOverPipes(engine, feed, options);
 
-    EXPECT_EQ(summary.received, 5u);
-    EXPECT_GE(summary.shed, 1u);
-    EXPECT_EQ(summary.evaluated + summary.shed, 5u);
+    EXPECT_EQ(run.summary.received, 5u);
+    EXPECT_GE(run.summary.shed, 1u);
+    EXPECT_EQ(run.summary.evaluated + run.summary.shed, 5u);
 
     // Every shed response says so, with ResourceExhausted.
-    std::istringstream lines(out.str());
-    std::string line;
-    std::size_t shed_seen = 0, responses = 0;
-    while (std::getline(lines, line)) {
-        Result<JsonValue> doc = parseJson(line);
-        ASSERT_TRUE(doc.ok()) << line;
-        ++responses;
-        const JsonValue *shed = doc.value().find("shed");
+    std::size_t shed_seen = 0;
+    std::vector<JsonValue> docs = responseLines(run.output);
+    for (const JsonValue &doc : docs) {
+        const JsonValue *shed = doc.find("shed");
         if (shed != nullptr && shed->boolean()) {
             ++shed_seen;
-            EXPECT_EQ(doc.value().find("status")->string(),
+            EXPECT_EQ(doc.find("status")->string(),
                       "resource_exhausted");
-            EXPECT_FALSE(doc.value().find("ok")->boolean());
+            EXPECT_FALSE(doc.find("ok")->boolean());
         }
     }
-    EXPECT_EQ(responses, 5u);
-    EXPECT_EQ(shed_seen, summary.shed);
+    EXPECT_EQ(docs.size(), 5u);
+    EXPECT_EQ(shed_seen, run.summary.shed);
 }
 
-TEST(ServeLoop, DrainFlagStopsIntake)
+TEST(ServeFds, DrainFlagStopsIntake)
 {
     resetServeDrain();
     requestServeDrain();
     EXPECT_TRUE(serveDraining());
     EngineSession engine;
-    std::istringstream in(R"({"cmd":"ping"})" "\n");
-    std::ostringstream out;
-    ServeSummary summary = serveLines(engine, in, out);
+    PipeRun run = serveOverPipes(engine, R"({"cmd":"ping"})" "\n");
     // Intake stopped before reading anything.
-    EXPECT_EQ(summary.received, 0u);
-    EXPECT_TRUE(out.str().empty());
+    EXPECT_EQ(run.summary.received, 0u);
+    EXPECT_TRUE(run.output.empty());
     resetServeDrain();
+}
+
+TEST(ServeFds, OrderedUnderConcurrentDispatch)
+{
+    // Two stalled requests occupy both dispatchers and the whole
+    // in-flight bound; the pings behind them are shed and the garbage
+    // lines answered at intake, long before the stalled responses
+    // exist. Every response must still come out in seq order.
+    resetServeDrain();
+    EngineSession engine;
+    std::string feed =
+        stalledSuiteLine("slow_a", 4) + stalledSuiteLine("slow_b", 8);
+    for (int i = 0; i < 3; ++i) {
+        feed += R"({"cmd":"ping","id":"p)" + std::to_string(i) +
+                R"("})" "\n";
+        feed += "not json\n";
+    }
+    SupervisorOptions options;
+    options.dispatchers = 2;
+    options.maxQueue = 2;
+    PipeRun run = serveOverPipes(engine, feed, options);
+
+    EXPECT_EQ(run.summary.received, 8u);
+    EXPECT_EQ(run.summary.malformed, 3u);
+    EXPECT_GE(run.summary.shed, 1u);
+    std::vector<JsonValue> docs = responseLines(run.output);
+    ASSERT_EQ(docs.size(), 8u);
+    for (std::size_t i = 0; i < docs.size(); ++i)
+        EXPECT_EQ(docs[i].find("seq")->number(), double(i + 1));
+    EXPECT_EQ(docs[0].find("id")->string(), "slow_a");
+    EXPECT_EQ(docs[1].find("id")->string(), "slow_b");
+}
+
+TEST(ServeFds, SoleClientQuotaIsTheQueueBound)
+{
+    // --max-inflight is a share between clients; the fd pair's sole
+    // client is bounded by the queue alone, so a pipelined batch
+    // behind a stalled request is not shed past 8.
+    resetServeDrain();
+    EngineSession engine;
+    std::string feed = stalledSuiteLine("slow", 4);
+    for (int i = 0; i < 20; ++i)
+        feed += R"({"cmd":"ping","id":"p)" + std::to_string(i) +
+                R"("})" "\n";
+    SupervisorOptions options;
+    options.maxInflight = 8;
+    options.maxQueue = 64;
+    PipeRun run = serveOverPipes(engine, feed, options);
+
+    EXPECT_EQ(run.summary.received, 21u);
+    EXPECT_EQ(run.summary.shed, 0u);
+    EXPECT_EQ(run.summary.evaluated, 21u);
+    EXPECT_EQ(responseLines(run.output).size(), 21u);
+}
+
+TEST(ServeFds, DeadOutputEndsIntake)
+{
+    // A pipe has no shutdown(): a failed write must end intake on
+    // its own. The output's read end is closed up front, so the first
+    // response fails and serveFds must return (not wait for EOF).
+    resetServeDrain();
+    auto old_pipe = std::signal(SIGPIPE, SIG_IGN);
+    int in_pipe[2], out_pipe[2];
+    ASSERT_EQ(::pipe(in_pipe), 0);
+    ASSERT_EQ(::pipe(out_pipe), 0);
+    ::close(out_pipe[0]);
+
+    EngineSession engine;
+    SupervisorSummary summary;
+    std::atomic<bool> returned{false};
+    std::thread server([&] {
+        summary = serveFds(engine, in_pipe[0], out_pipe[1]);
+        returned.store(true);
+    });
+    // Keep the input open and flowing until serveFds gives up on it.
+    const std::string ping = R"({"cmd":"ping"})" "\n";
+    for (int i = 0; i < 500 && !returned.load(); ++i) {
+        if (::write(in_pipe[1], ping.data(), ping.size()) < 0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    const bool returned_while_open = returned.load();
+    ::close(in_pipe[1]);
+    server.join();
+    EXPECT_TRUE(returned_while_open);
+    EXPECT_GE(summary.dropped, 1u);
+
+    ::close(in_pipe[0]);
+    ::close(out_pipe[1]);
+    std::signal(SIGPIPE, old_pipe);
 }
 
 // ---------------------------------------------------------------------

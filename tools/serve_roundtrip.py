@@ -8,7 +8,8 @@ requests over stdin, then validates the JSON-lines responses:
   * every response line parses under python's strict json module, and
     the full transcript re-parses under `python3 -m json.tool`
     (an independent external validator, one document per line);
-  * every request receives exactly one response, matched by id;
+  * every request receives exactly one response, matched by id, and
+    the responses arrive in request (seq) order;
   * status/ok/code fields follow the CLI exit-code contract
     (0 success, 2 contained partial failure, 1 total failure);
   * a warm repeat of a model request hits the session cache instead
@@ -74,10 +75,11 @@ def main():
         (line if isinstance(line, str) else json.dumps(line)) + "\n"
         for _, line in REQUESTS)
 
-    # max-batch 1 keeps responses in request order, which lets the
-    # order assertions below stay exact.
+    # One dispatcher evaluates requests one at a time, so the warm
+    # repeat m2 runs after m1 has filled the cache and the stats
+    # request counts exactly the requests before it.
     proc = subprocess.run(
-        [serve_bin, "--max-batch", "1"],
+        [serve_bin, "--dispatch", "1"],
         input=stdin, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         fail("daemon exited %d" % proc.returncode, proc.stderr)
@@ -106,8 +108,9 @@ def main():
             if field not in resp:
                 fail("response missing field '%s'" % field, resp)
     seqs = [resp["seq"] for resp in responses]
-    if sorted(seqs) != list(range(1, len(REQUESTS) + 1)):
-        fail("response seqs are not 1..%d" % len(REQUESTS), seqs)
+    if seqs != list(range(1, len(REQUESTS) + 1)):
+        fail("response seqs are not 1..%d in order" % len(REQUESTS),
+             seqs)
 
     by_id = {}
     for resp in responses:
