@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/isolation.hh"
 #include "common/logging.hh"
@@ -9,6 +10,96 @@
 
 namespace gpumech
 {
+
+namespace
+{
+
+/**
+ * Every PC's request and instruction histograms, accumulated in one
+ * open-addressing table keyed by (PC, histogram, pair) and finished
+ * into per-PC vectors sorted by key.
+ */
+class PairHistAccumulator
+{
+  public:
+    /** Add @p weight to bin @p pair of PC @p pc's histogram. */
+    void
+    add(std::uint32_t pc, bool inst, std::uint64_t pair, double weight)
+    {
+        const std::uint64_t tag = 2 * std::uint64_t{pc} + (inst ? 1 : 0);
+        Entry *e = &slotOf(tag, pair);
+        if (e->tag == emptyTag) {
+            if (4 * (used + 1) > 3 * table.size()) {
+                grow();
+                e = &slotOf(tag, pair);
+            }
+            *e = Entry{tag, pair, 0.0};
+            ++used;
+        }
+        e->weight += weight;
+    }
+
+    /** Move the bins into @p pcs' reqHist and instHist, sorted. */
+    void
+    finish(std::vector<MrcPcProfile> &pcs)
+    {
+        std::erase_if(table,
+                      [](const Entry &e) { return e.tag == emptyTag; });
+        std::sort(table.begin(), table.end(),
+                  [](const Entry &a, const Entry &b) {
+                      return std::tie(a.tag, a.pair) <
+                             std::tie(b.tag, b.pair);
+                  });
+        for (const Entry &e : table) {
+            MrcPcProfile &pc = pcs[e.tag / 2];
+            (e.tag % 2 ? pc.instHist : pc.reqHist)
+                .push_back(ReusePairBin{e.pair, e.weight});
+        }
+        table.clear();
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t tag; //!< 2 * pc + (instruction histogram)
+        std::uint64_t pair;
+        double weight;
+    };
+    static constexpr std::uint64_t emptyTag = ~std::uint64_t{0};
+
+    Entry &
+    slotOf(std::uint64_t tag, std::uint64_t pair)
+    {
+        const std::size_t mask = table.size() - 1;
+        std::size_t i = static_cast<std::size_t>(
+            ((pair ^ (tag * 0xc2b2ae3d27d4eb4fULL)) *
+             0x9e3779b97f4a7c15ULL) >>
+            shift);
+        while (table[i].tag != emptyTag &&
+               (table[i].tag != tag || table[i].pair != pair))
+            i = (i + 1) & mask;
+        return table[i];
+    }
+
+    void
+    grow()
+    {
+        std::vector<Entry> old(table.size() * 2, Entry{emptyTag, 0, 0.0});
+        old.swap(table);
+        --shift;
+        for (const Entry &e : old) {
+            if (e.tag != emptyTag)
+                slotOf(e.tag, e.pair) = e;
+        }
+    }
+
+    std::vector<Entry> table =
+        std::vector<Entry>(1024, Entry{emptyTag, 0, 0.0});
+    unsigned shift = 64 - 10; //!< 64 - log2(table.size())
+    std::size_t used = 0;
+};
+
+} // namespace
 
 MrcProfile
 collectMrcProfile(const KernelTrace &kernel,
@@ -22,6 +113,7 @@ collectMrcProfile(const KernelTrace &kernel,
     profile.pcs.resize(kernel.numStaticInsts());
 
     ShardsSampler sampler(sampling_rate);
+    PairHistAccumulator hists;
     ReuseDistanceTracker global;
     std::vector<ReuseDistanceTracker> per_core(config.numCores);
 
@@ -75,8 +167,8 @@ collectMrcProfile(const KernelTrace &kernel,
                         per_core[cur.core].access(line));
                     std::uint32_t dg =
                         sampler.unscale(global.access(line));
-                    pc.reqHist[packReusePair(d1, dg)] +=
-                        sampler.weight();
+                    hists.add(pcs[f], false, packReusePair(d1, dg),
+                              sampler.weight());
                     // The cold sentinel is the numeric max, so max()
                     // correctly makes a cold line the slowest.
                     max_d1 = any_sampled ? std::max(max_d1, d1) : d1;
@@ -84,8 +176,9 @@ collectMrcProfile(const KernelTrace &kernel,
                     any_sampled = true;
                 }
                 if (any_sampled) {
-                    pc.instHist[packReusePair(max_d1, max_dg)] +=
-                        sampler.weight();
+                    hists.add(pcs[f], true,
+                              packReusePair(max_d1, max_dg),
+                              sampler.weight());
                 }
             } else {
                 // Stores are write-through/no-allocate: no tag state,
@@ -95,6 +188,7 @@ collectMrcProfile(const KernelTrace &kernel,
             }
         }
     }
+    hists.finish(profile.pcs);
     return profile;
 }
 
@@ -131,6 +225,15 @@ struct ClassWeights
     double l1Hit = 0.0;
     double l2Hit = 0.0;
     double l2Miss = 0.0;
+
+    void
+    add(const ClassWeights &o)
+    {
+        total += o.total;
+        l1Hit += o.l1Hit;
+        l2Hit += o.l2Hit;
+        l2Miss += o.l2Miss;
+    }
 };
 
 ClassWeights
@@ -234,20 +337,17 @@ deriveCollectorResult(const MrcProfile &profile,
     for (std::uint32_t pc : kernel.instPcs())
         ++result.pcs[pc].instCount;
 
-    // Profile-wide fallback fractions for PCs whose lines were all
+    // Each PC's histograms, classified once; their sums are the
+    // profile-wide fallback fractions for PCs whose lines were all
     // sampled away (only possible at rate < 1).
+    std::vector<ClassWeights> pc_req(profile.pcs.size());
+    std::vector<ClassWeights> pc_inst(profile.pcs.size());
     ClassWeights agg_req, agg_inst;
-    for (const MrcPcProfile &mp : profile.pcs) {
-        ClassWeights r = classify(mp.reqHist, l1, l2);
-        ClassWeights i = classify(mp.instHist, l1, l2);
-        agg_req.total += r.total;
-        agg_req.l1Hit += r.l1Hit;
-        agg_req.l2Hit += r.l2Hit;
-        agg_req.l2Miss += r.l2Miss;
-        agg_inst.total += i.total;
-        agg_inst.l1Hit += i.l1Hit;
-        agg_inst.l2Hit += i.l2Hit;
-        agg_inst.l2Miss += i.l2Miss;
+    for (std::size_t pc = 0; pc < profile.pcs.size(); ++pc) {
+        pc_req[pc] = classify(profile.pcs[pc].reqHist, l1, l2);
+        pc_inst[pc] = classify(profile.pcs[pc].instHist, l1, l2);
+        agg_req.add(pc_req[pc]);
+        agg_inst.add(pc_inst[pc]);
     }
 
     for (std::uint32_t pc = 0; pc < kernel.numStaticInsts(); ++pc) {
@@ -256,7 +356,7 @@ deriveCollectorResult(const MrcProfile &profile,
         out.reqCount = mp.loadReqs + mp.storeReqs;
 
         if (mp.loadReqs > 0) {
-            ClassWeights req = classify(mp.reqHist, l1, l2);
+            ClassWeights req = pc_req[pc];
             if (req.total <= 0.0)
                 req = agg_req;
             std::uint64_t l1_hit = 0, l2_hit = 0, l2_miss = 0;
@@ -265,7 +365,7 @@ deriveCollectorResult(const MrcProfile &profile,
             out.reqL2Miss = l2_miss;
         }
         if (mp.loadInsts > 0) {
-            ClassWeights inst = classify(mp.instHist, l1, l2);
+            ClassWeights inst = pc_inst[pc];
             if (inst.total <= 0.0)
                 inst = agg_inst.total > 0.0 ? agg_inst : agg_req;
             splitCount(mp.loadInsts, inst, out.instL1Hit,

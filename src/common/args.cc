@@ -1,5 +1,6 @@
 #include "common/args.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -137,6 +138,20 @@ ArgParser::getDouble(const std::string &name, double fallback) const
                           "'"));
     }
     return v;
+}
+
+Status
+ArgParser::onlyKnown(const std::vector<std::string> &known) const
+{
+    for (const auto &[name, value] : options) {
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            return Status(StatusCode::InvalidArgument,
+                          msg("unknown option --", name));
+    }
+    if (!positionals.empty())
+        return Status(StatusCode::InvalidArgument,
+                      msg("unexpected argument '", positionals[0], "'"));
+    return Status();
 }
 
 } // namespace gpumech

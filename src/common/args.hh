@@ -74,6 +74,14 @@ class ArgParser
     Result<double> getDouble(const std::string &name,
                              double fallback) const;
 
+    /**
+     * For a front-end that takes options only: InvalidArgument naming
+     * the first option outside @p known or the first positional
+     * argument; OK otherwise. A misspelt flag then fails loudly
+     * instead of being silently ignored.
+     */
+    Status onlyKnown(const std::vector<std::string> &known) const;
+
   private:
     void parse(const std::vector<std::string> &tokens);
 

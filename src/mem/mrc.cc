@@ -1,5 +1,7 @@
 #include "mem/mrc.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -22,58 +24,134 @@ mixLine(std::uint64_t x)
 
 } // namespace
 
-void
-ReuseDistanceTracker::bitSet(std::size_t pos)
+ReuseDistanceTracker::Slot &
+ReuseDistanceTracker::slotOf(Addr line)
 {
-    for (std::size_t i = pos + 1; i <= tree.size(); i += i & (~i + 1))
-        ++tree[i - 1];
-    ++live;
+    // Fibonacci hashing: the product's high bits mix strided lines.
+    const std::size_t mask = table.size() - 1;
+    std::size_t i =
+        static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ULL) >>
+                                 tableShift);
+    while (table[i].stamp != emptyStamp && table[i].line != line)
+        i = (i + 1) & mask;
+    return table[i];
 }
 
 void
-ReuseDistanceTracker::bitClear(std::size_t pos)
+ReuseDistanceTracker::growTable()
 {
-    for (std::size_t i = pos + 1; i <= tree.size(); i += i & (~i + 1))
-        --tree[i - 1];
-    --live;
+    std::vector<Slot> old(table.size() * 2, Slot{0, emptyStamp});
+    old.swap(table);
+    --tableShift;
+    for (const Slot &s : old) {
+        if (s.stamp != emptyStamp)
+            slotOf(s.line) = s;
+    }
 }
 
-std::uint64_t
-ReuseDistanceTracker::bitPrefix(std::size_t pos) const
+void
+ReuseDistanceTracker::treeAdd(std::size_t word, std::int32_t delta)
 {
-    std::uint64_t sum = 0;
-    for (std::size_t i = pos + 1; i > 0; i -= i & (~i + 1))
+    for (std::size_t i = word + 1; i <= tree.size(); i += i & (~i + 1))
+        tree[i - 1] += static_cast<std::uint32_t>(delta);
+}
+
+std::uint32_t
+ReuseDistanceTracker::treePrefix(std::size_t word) const
+{
+    std::uint32_t sum = 0;
+    for (std::size_t i = word; i > 0; i &= i - 1)
         sum += tree[i - 1];
     return sum;
+}
+
+void
+ReuseDistanceTracker::compact()
+{
+    // A live stamp's new number is its rank among the live stamps:
+    // the popcount of the words before it plus the bits below it in
+    // its own word. The tree is rebuilt below, so it holds the
+    // per-word ranks meanwhile.
+    tree.assign(bits.size(), 0);
+    std::uint32_t rank = 0;
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+        tree[w] = rank;
+        rank += static_cast<std::uint32_t>(std::popcount(bits[w]));
+    }
+    for (Slot &s : table) {
+        if (s.stamp == emptyStamp)
+            continue;
+        const std::size_t w = s.stamp / 64;
+        const std::uint64_t below =
+            (std::uint64_t{1} << (s.stamp % 64)) - 1;
+        s.stamp = tree[w] + static_cast<std::uint32_t>(
+                                std::popcount(bits[w] & below));
+    }
+
+    // Keep at least 3x live free stamps, so a compaction's
+    // O(table + words) cost spreads over as many accesses.
+    std::size_t words = bits.size();
+    while (words * 64 < 4 * static_cast<std::uint64_t>(live))
+        words *= 2;
+    if (words * 64 > emptyStamp)
+        panic(msg("reuse-distance tracker: ", live,
+                  " distinct lines exceed the 32-bit stamp space"));
+    bits.assign(words, 0);
+    std::fill_n(bits.begin(), live / 64, ~std::uint64_t{0});
+    if (live % 64 != 0)
+        bits[live / 64] = (std::uint64_t{1} << (live % 64)) - 1;
+    next = live;
+
+    // The tree sums full words only; rebuild it in O(words).
+    tree.assign(words, 0);
+    std::fill_n(tree.begin(), next / 64, 64u);
+    for (std::size_t i = 1; i <= words; ++i) {
+        const std::size_t parent = i + (i & (~i + 1));
+        if (parent <= words)
+            tree[parent - 1] += tree[i - 1];
+    }
 }
 
 std::uint32_t
 ReuseDistanceTracker::access(Addr line)
 {
-    const std::uint64_t stamp = clock++;
-    if (stamp >= tree.size()) {
-        // Double the (power-of-two) Fenwick capacity. Every new node's
-        // range lies inside the new half except the root, whose range
-        // (0, 2n] covers every currently-set bit.
-        tree.resize(tree.empty() ? 64 : tree.size() * 2, 0);
-        tree.back() = static_cast<std::uint32_t>(live);
+    ++count;
+    if (next == bits.size() * 64)
+        compact();
+
+    Slot *slot = &slotOf(line);
+    std::uint32_t distance = mrcColdDistance;
+    if (slot->stamp == emptyStamp) {
+        // Grow past a 3/4 load: longer probes cost less than the
+        // cache misses of a table twice the size.
+        if (4 * (static_cast<std::size_t>(live) + 1) > 3 * table.size()) {
+            growTable();
+            slot = &slotOf(line);
+        }
+        slot->line = line;
+        ++live;
+    } else {
+        // Distinct lines since the previous access: every set bit is
+        // some line's current last access, so the set bits strictly
+        // after prev count exactly the intervening lines.
+        const std::uint32_t prev = slot->stamp;
+        const std::size_t word = prev / 64;
+        const std::uint64_t bit = std::uint64_t{1} << (prev % 64);
+        distance = live - treePrefix(word) -
+                   static_cast<std::uint32_t>(
+                       std::popcount(bits[word] & (bit | (bit - 1))));
+        bits[word] &= ~bit;
+        // The word taking new stamps joins the tree once it is full.
+        if (word < next / 64)
+            treeAdd(word, -1);
     }
 
-    auto [it, cold] = last.try_emplace(line, stamp);
-    std::uint32_t distance = mrcColdDistance;
-    if (!cold) {
-        const std::uint64_t prev = it->second;
-        // Distinct lines since the previous access: every set bit is
-        // some line's current last access, so the count of set bits
-        // strictly after prev is exactly the intervening-line count.
-        std::uint64_t between = live - bitPrefix(prev);
-        distance = between >= mrcColdDistance
-                       ? mrcColdDistance - 1
-                       : static_cast<std::uint32_t>(between);
-        bitClear(prev);
-        it->second = stamp;
+    slot->stamp = next;
+    bits[next / 64] |= std::uint64_t{1} << (next % 64);
+    if (++next % 64 == 0) {
+        const std::size_t full = next / 64 - 1;
+        treeAdd(full, std::popcount(bits[full]));
     }
-    bitSet(stamp);
     return distance;
 }
 
@@ -121,50 +199,6 @@ assocHitProbability(std::uint32_t distance, std::uint32_t sets,
     // intervening distinct lines, resident iff that is <= ways - 1.
     return distance < static_cast<std::uint64_t>(sets) * ways ? 1.0
                                                               : 0.0;
-}
-
-ReusePairHist
-MrcProfile::aggregateHist() const
-{
-    ReusePairHist agg;
-    for (const MrcPcProfile &pc : pcs) {
-        for (const auto &[key, w] : pc.reqHist)
-            agg[key] += w;
-    }
-    return agg;
-}
-
-double
-MrcProfile::l1MissRatio(std::uint32_t sets, std::uint32_t ways) const
-{
-    double total = 0.0, miss = 0.0;
-    for (const MrcPcProfile &pc : pcs) {
-        for (const auto &[key, w] : pc.reqHist) {
-            total += w;
-            miss += w * (1.0 - assocHitProbability(reusePairD1(key),
-                                                   sets, ways));
-        }
-    }
-    return total == 0.0 ? 0.0 : miss / total;
-}
-
-double
-MrcProfile::l2MissRatio(std::uint32_t l1_sets, std::uint32_t l1_ways,
-                        std::uint32_t sets, std::uint32_t ways) const
-{
-    double total = 0.0, miss = 0.0;
-    for (const MrcPcProfile &pc : pcs) {
-        for (const auto &[key, w] : pc.reqHist) {
-            total += w;
-            double l1_miss = 1.0 - assocHitProbability(
-                                       reusePairD1(key), l1_sets,
-                                       l1_ways);
-            double l2_miss = 1.0 - assocHitProbability(
-                                       reusePairDg(key), sets, ways);
-            miss += w * l1_miss * l2_miss;
-        }
-    }
-    return total == 0.0 ? 0.0 : miss / total;
 }
 
 } // namespace gpumech

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/coalescer.hh"
@@ -51,12 +50,16 @@ inline constexpr std::uint32_t mrcColdDistance =
 /**
  * LRU stack-distance tracker over one access stream.
  *
- * Classic two-structure design: a hash map from line to the stamp of
- * its previous access, plus a Fenwick tree over stamps holding one
- * set bit per currently-live "last access". A new access's distance is
- * the number of set bits after its previous stamp — the count of
- * distinct lines touched since — at O(log n) per access. Stamps are
- * assigned sequentially, so the tree only ever grows at the end.
+ * Olken's two-structure design, flattened. An open-addressing table
+ * maps each line to the stamp of its previous access, and a bitmap
+ * holds one set bit per live stamp (each line's current last access).
+ * A Fenwick tree over the bitmap's 64-bit words sums their popcounts,
+ * so a reuse distance — the set bits strictly after the previous
+ * stamp, i.e. the distinct lines touched since — costs one word-level
+ * prefix query plus one popcount. When the stamps run out, the live
+ * ones are renumbered in order into [0, live) and the bitmap rebuilt:
+ * order-preserving renumbering changes no distance, and capacity
+ * stays O(unique lines) instead of O(accesses).
  */
 class ReuseDistanceTracker
 {
@@ -69,21 +72,41 @@ class ReuseDistanceTracker
     std::uint32_t access(Addr line);
 
     /** Distinct lines currently tracked. */
-    std::size_t uniqueLines() const { return last.size(); }
+    std::size_t uniqueLines() const { return live; }
 
     /** Accesses recorded so far. */
-    std::uint64_t accesses() const { return clock; }
+    std::uint64_t accesses() const { return count; }
 
   private:
-    void bitSet(std::size_t pos);
-    void bitClear(std::size_t pos);
-    /** Set bits in [0, pos] (inclusive prefix). */
-    std::uint64_t bitPrefix(std::size_t pos) const;
+    /** Line-table entry; stamp == emptyStamp marks a free slot. */
+    struct Slot
+    {
+        Addr line;
+        std::uint32_t stamp;
+    };
+    static constexpr std::uint32_t emptyStamp =
+        std::numeric_limits<std::uint32_t>::max();
 
-    std::unordered_map<Addr, std::uint64_t> last; //!< line -> stamp
-    std::vector<std::uint32_t> tree; //!< Fenwick tree, 1-based
-    std::uint64_t clock = 0;         //!< next stamp
-    std::uint64_t live = 0;          //!< set bits in the tree
+    /** The slot holding @p line, or the free slot where it belongs. */
+    Slot &slotOf(Addr line);
+    void growTable();
+    /** Renumber the live stamps into [0, live); grow to 4x live. */
+    void compact();
+    /** Fenwick update of word @p word's count by @p delta. */
+    void treeAdd(std::size_t word, std::int32_t delta);
+    /** Set bits in words [0, word). */
+    std::uint32_t treePrefix(std::size_t word) const;
+
+    /** Power-of-two size, linear probing. */
+    std::vector<Slot> table = std::vector<Slot>(64, Slot{0, emptyStamp});
+    unsigned tableShift = 64 - 6; //!< 64 - log2(table.size())
+    /** One bit per stamp, set while it is some line's last access. */
+    std::vector<std::uint64_t> bits = std::vector<std::uint64_t>(1, 0);
+    /** Fenwick tree (1-based) over the popcounts of the full words. */
+    std::vector<std::uint32_t> tree = std::vector<std::uint32_t>(1, 0);
+    std::uint32_t next = 0;  //!< next stamp
+    std::uint32_t live = 0;  //!< set bits (distinct lines)
+    std::uint64_t count = 0; //!< accesses recorded
 };
 
 /**
@@ -135,12 +158,19 @@ class ShardsSampler
 double assocHitProbability(std::uint32_t distance, std::uint32_t sets,
                            std::uint32_t ways);
 
+/** One bin of a ReusePairHist: a packed (d1, dg) key and its weight. */
+struct ReusePairBin
+{
+    std::uint64_t key;
+    double weight;
+};
+
 /**
- * Weighted joint histogram over (d1, dg) reuse-distance pairs.
- * Key packs d1 in the high and dg in the low 32 bits; values are
- * SHARDS weights (integer counts at rate 1.0).
+ * Weighted joint histogram over (d1, dg) reuse-distance pairs, sorted
+ * by key. A key packs d1 in the high and dg in the low 32 bits; the
+ * weights are SHARDS weights (integer counts at rate 1.0).
  */
-using ReusePairHist = std::unordered_map<std::uint64_t, double>;
+using ReusePairHist = std::vector<ReusePairBin>;
 
 /** Pack a (d1, dg) pair into a ReusePairHist key. */
 inline std::uint64_t
@@ -193,23 +223,6 @@ struct MrcProfile
 
     std::uint64_t totalLoadLines = 0;   //!< load line requests walked
     std::uint64_t sampledLoadLines = 0; //!< of which sampled
-
-    /** Sum of every PC's request histogram (the aggregate curve). */
-    ReusePairHist aggregateHist() const;
-
-    /**
-     * Aggregate L1 miss ratio of load line requests for an S x A
-     * geometry (per-core distances).
-     */
-    double l1MissRatio(std::uint32_t sets, std::uint32_t ways) const;
-
-    /**
-     * Aggregate L2 miss ratio for an S x A geometry: fraction of load
-     * line requests missing both levels, conditioned on the modeled L1
-     * (@p l1_sets x @p l1_ways) via the joint histogram.
-     */
-    double l2MissRatio(std::uint32_t l1_sets, std::uint32_t l1_ways,
-                       std::uint32_t sets, std::uint32_t ways) const;
 };
 
 } // namespace gpumech

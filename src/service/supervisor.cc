@@ -235,6 +235,10 @@ Supervisor::readerMain(std::shared_ptr<Conn> conn)
             // with everything already admitted).
             std::uint64_t drop = lines.bufferedLines();
             if (r == ReadResult::Oversized) {
+                // The oversized line leads the buffer: its own
+                // newline, once read, is not a dropped request.
+                if (drop > 0)
+                    --drop;
                 bump(&SupervisorSummary::oversized);
                 Response resp;
                 resp.status = Status(

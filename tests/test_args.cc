@@ -157,5 +157,24 @@ TEST(Args, GetDoubleRejectsJunkAndNonFinite)
     }
 }
 
+TEST(Args, OnlyKnownNamesTheFirstStrayOptionOrPositional)
+{
+    const std::vector<std::string> known = {"socket", "no-output"};
+    EXPECT_TRUE(ArgParser({"--socket", "s", "--no-output"})
+                    .onlyKnown(known)
+                    .ok());
+    EXPECT_TRUE(ArgParser({}).onlyKnown(known).ok());
+
+    Status flag = ArgParser({"--max-batch", "1"}).onlyKnown(known);
+    EXPECT_EQ(flag.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(flag.message().find("--max-batch"), std::string::npos)
+        << flag.message();
+
+    Status positional = ArgParser({"--socket=s", "stray"}).onlyKnown(known);
+    EXPECT_EQ(positional.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(positional.message().find("stray"), std::string::npos)
+        << positional.message();
+}
+
 } // namespace
 } // namespace gpumech

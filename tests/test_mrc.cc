@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <sstream>
 
 #include "collector/input_collector.hh"
@@ -55,14 +57,151 @@ TEST(ReuseDistance, DistanceCountsDistinctLinesNotAccesses)
 
 TEST(ReuseDistance, SurvivesFenwickGrowth)
 {
-    // The tree starts at 64 stamps and doubles; 1000 distinct lines
-    // crosses several resizes and the root-node live-count fixup.
+    // The stamp bitmap starts at 64 stamps; 1000 distinct lines cross
+    // several capacity doublings and line-table rehashes.
     ReuseDistanceTracker t;
     for (Addr line = 0; line < 1000; ++line)
         EXPECT_EQ(t.access(line), mrcColdDistance);
     EXPECT_EQ(t.access(0), 999u);
     EXPECT_EQ(t.access(999), 1u);
     EXPECT_EQ(t.uniqueLines(), 1000u);
+}
+
+/** Naive LRU stack: the most recent line at the back, O(n) per access. */
+class LruStackOracle
+{
+  public:
+    std::uint32_t
+    access(Addr line)
+    {
+        auto it = std::find(stack.rbegin(), stack.rend(), line);
+        std::uint32_t distance = mrcColdDistance;
+        if (it != stack.rend()) {
+            distance = static_cast<std::uint32_t>(it - stack.rbegin());
+            stack.erase(std::next(it).base());
+        }
+        stack.push_back(line);
+        return distance;
+    }
+
+    std::size_t uniqueLines() const { return stack.size(); }
+
+  private:
+    std::vector<Addr> stack;
+};
+
+TEST(ReuseDistance, MatchesNaiveLruStackOracle)
+{
+    // Phase 1 cycles a small working set, so stamps run out and the
+    // tracker compacts thousands of times; phase 2 keeps adding lines,
+    // so the stamp capacity and the line table double repeatedly.
+    // The extreme addresses 0 and ~0 are part of the working set.
+    ReuseDistanceTracker t;
+    LruStackOracle oracle;
+    std::mt19937_64 rng(14);
+    std::vector<Addr> lines = {0, ~Addr{0}};
+    for (Addr i = 1; i < 40; ++i)
+        lines.push_back(i * 0x80);
+    std::uint64_t n = 0;
+    auto check = [&](Addr line) {
+        ++n;
+        ASSERT_EQ(t.access(line), oracle.access(line))
+            << "access " << n << " line " << line;
+    };
+    for (int i = 0; i < 150000; ++i)
+        check(lines[rng() % lines.size()]);
+    for (int i = 0; i < 60000; ++i) {
+        std::uint64_t r = rng();
+        if (r % 4 == 0) {
+            lines.push_back(0x100000 + (r >> 8) % 0x10000000);
+            check(lines.back());
+        } else if (r % 16 == 1) {
+            check(lines[(r >> 8) % lines.size()]);
+        } else {
+            std::size_t recent = std::min<std::size_t>(64, lines.size());
+            check(lines[lines.size() - 1 - (r >> 8) % recent]);
+        }
+    }
+    EXPECT_EQ(t.accesses(), n);
+    EXPECT_EQ(t.uniqueLines(), oracle.uniqueLines());
+    EXPECT_GT(t.uniqueLines(), 10000u);
+}
+
+/** FNV-1a 64 (the .gmt checksum) folded over @p size bytes. */
+std::uint64_t
+fnv1a(const void *data, std::size_t size, std::uint64_t h)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * Digest of every count and histogram bin of @p profile. Bins are
+ * hashed in key order, so the digest does not depend on how a
+ * histogram stores them.
+ */
+std::uint64_t
+profileDigest(const MrcProfile &profile)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto add = [&h](auto v) { h = fnv1a(&v, sizeof v, h); };
+    auto addHist = [&](const auto &hist) {
+        std::vector<std::pair<std::uint64_t, double>> bins;
+        for (const auto &[key, w] : hist)
+            bins.emplace_back(key, w);
+        std::sort(bins.begin(), bins.end());
+        add(static_cast<std::uint64_t>(bins.size()));
+        for (const auto &[key, w] : bins) {
+            add(key);
+            add(w);
+        }
+    };
+    add(profile.samplingRate);
+    add(profile.lineBytes);
+    add(profile.totalLoadLines);
+    add(profile.sampledLoadLines);
+    for (const MrcPcProfile &pc : profile.pcs) {
+        add(pc.loadInsts);
+        add(pc.loadReqs);
+        add(pc.storeInsts);
+        add(pc.storeReqs);
+        addHist(pc.reqHist);
+        addHist(pc.instHist);
+    }
+    return h;
+}
+
+TEST(ReuseDistance, CollectedProfileDigestsArePinned)
+{
+    // Captured from the previous tracker (a node-based hash map plus a
+    // Fenwick tree with one node per access) on the baseline machine;
+    // the compacted bitmap tracker and the flat histograms must
+    // reproduce every distance, count and weight bit for bit.
+    HardwareConfig config = HardwareConfig::baseline();
+    struct Pin
+    {
+        const char *kernel;
+        double rate;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"micro_l1_resident", 1.0, 0xcc39c2b681386216ull},
+        {"micro_l1_resident", 0.5, 0x8781c7353ddc6e2aull},
+        {"micro_pointer_chase", 1.0, 0x70302a3c508d32b6ull},
+        {"micro_pointer_chase", 0.5, 0x7ac249d2c908dc32ull},
+    };
+    for (const Pin &pin : pins) {
+        KernelTrace kernel = workloadByName(pin.kernel).generate(config);
+        std::uint64_t got =
+            profileDigest(collectMrcProfile(kernel, config, pin.rate));
+        EXPECT_EQ(got, pin.digest)
+            << pin.kernel << " at rate " << pin.rate << ": 0x" << std::hex
+            << got;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -667,6 +667,28 @@ TEST(ServeFds, SoleClientQuotaIsTheQueueBound)
     EXPECT_EQ(responseLines(run.output).size(), 21u);
 }
 
+TEST(ServeFds, OversizedLineIsCountedOnceNotDropped)
+{
+    // The oversized line ends the connection and counts as oversized;
+    // only the complete lines read behind it count as dropped.
+    resetServeDrain();
+    EngineSession engine;
+    SupervisorOptions options;
+    options.maxLineBytes = 5;
+    PipeRun run =
+        serveOverPipes(engine, R"({"cmd":"ping"})" "\n", options);
+    EXPECT_EQ(run.summary.oversized, 1u);
+    EXPECT_EQ(run.summary.dropped, 0u);
+    EXPECT_EQ(run.summary.received, 0u);
+    EXPECT_EQ(responseLines(run.output).size(), 1u);
+
+    run = serveOverPipes(engine,
+                         R"({"cmd":"ping"})" "\n" "ping\n" "ping\n",
+                         options);
+    EXPECT_EQ(run.summary.oversized, 1u);
+    EXPECT_EQ(run.summary.dropped, 2u);
+}
+
 TEST(ServeFds, DeadOutputEndsIntake)
 {
     // A pipe has no shutdown(): a failed write must end intake on

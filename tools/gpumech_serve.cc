@@ -49,7 +49,8 @@
  *
  * Draining: EOF on stdin (or SIGTERM / SIGINT) stops intake; every
  * already-admitted request is still answered before exit. Exit code 0
- * after a clean drain, 1 on setup/argument errors.
+ * after a clean drain, 1 on setup/argument errors (an unknown flag or
+ * a stray positional argument included).
  */
 
 #include <csignal>
@@ -99,6 +100,10 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
 
+    const Status known = args.onlyKnown(
+        {"socket", "max-queue", "dispatch", "jobs", "kernel-timeout-ms",
+         "no-output", "metrics", "max-inflight", "write-timeout-ms",
+         "idle-timeout-ms", "max-line-bytes"});
     auto max_queue = args.getPositiveUint("max-queue", 64);
     auto jobs = args.getPositiveUint("jobs", 0);
     auto dispatch = args.getPositiveUint("dispatch", 2);
@@ -106,7 +111,7 @@ main(int argc, char **argv)
     auto max_line_bytes =
         args.getPositiveUint("max-line-bytes", 1 << 20);
     for (const auto *status :
-         {&max_queue.status(), &jobs.status(), &dispatch.status(),
+         {&known, &max_queue.status(), &jobs.status(), &dispatch.status(),
           &max_inflight.status(), &max_line_bytes.status()}) {
         if (!status->ok()) {
             std::fprintf(stderr, "error: %s\n",

@@ -22,6 +22,10 @@ the batch still in flight: every admitted request must be answered, in
 seq order, before the socket closes, and the daemon must exit 0 with a
 drain summary.
 
+A last phase passes flags the daemon does not know (a retired flag, a
+misspelt one, a stray positional): each must be named on stderr and
+rejected with exit 1 before anything is served.
+
 Exits non-zero with a diagnostic on the first violated expectation.
 """
 
@@ -267,6 +271,22 @@ def socket_drain():
             pass
 
 
+def unknown_flags(serve_bin):
+    for argv, named in ((["--max-batch", "1"], "--max-batch"),
+                        (["--max-inflght", "4"], "--max-inflght"),
+                        (["stray"], "stray")):
+        proc = subprocess.run(
+            [serve_bin] + argv, input='{"cmd":"ping"}\n',
+            capture_output=True, text=True, timeout=30)
+        if proc.returncode != 1 or proc.stdout:
+            fail("%s should be rejected with exit 1 before serving"
+                 % " ".join(argv), proc.returncode, proc.stdout)
+        if named not in proc.stderr:
+            fail("rejection should name %s" % named, proc.stderr)
+    print("serve flag check OK: unknown flags rejected")
+
+
 if __name__ == "__main__":
     main()
     socket_drain()
+    unknown_flags(sys.argv[1])
